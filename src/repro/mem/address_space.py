@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -290,79 +290,97 @@ class AddressSpace:
         of cache-missing *loads* issued against pages that end up resident
         on a byte-addressable pool — it prices CXL's extra latency.
 
-        One pass per trace: indices arrive sorted (traces are), so each
-        VMA's touches form one contiguous run found with a single
-        ``searchsorted`` against the cumulative layout — no per-VMA masks,
-        no per-VMA outcome objects.
+        Writes fault first, then reads (which see the writes' effects).
+        Each list is one pass (:meth:`_runs`, :func:`_run_states`): one
+        state gather per touched VMA and one ``bincount`` for the whole
+        list; only the runs that actually fault run Python code.  A write
+        to a read-only VMA or an out-of-range index raises before any
+        state changes.
         """
         out = AccessOutcome()
-        for vma, idx in self._iter_vma_runs(write_pages):
-            self._fault_writes(vma, idx, out)
-        remote_ro = 0
-        n_reads = len(read_pages) if read_pages is not None else 0
-        for vma, idx in self._iter_vma_runs(read_pages):
-            remote_ro += self._fault_reads(vma, idx, out)
-        if read_loads and n_reads:
-            # Apportion load count to reads still resident on a remote
-            # byte-addressable pool.  Reads never demote REMOTE_RO pages,
-            # so counting during the pass equals counting after it.
-            out.remote_loads += int(round(read_loads * remote_ro / n_reads))
+        writes = self._runs(write_pages)
+        reads = self._runs(read_pages)
+        if writes is not None:
+            for vma in writes[0]:
+                if not vma.writable:
+                    raise PermissionError(
+                        f"write to read-only VMA {vma.name!r} in {self.name}")
+            self._fault_writes(*writes, out)
+        if reads is not None:
+            remote_ro = self._fault_reads(*reads, out)
+            if read_loads and remote_ro:
+                # Apportion load count to reads still resident on a
+                # remote byte-addressable pool.  Reads never demote
+                # REMOTE_RO pages, so counting during the pass equals
+                # counting after it.
+                out.remote_loads += int(round(
+                    read_loads * remote_ro / len(read_pages)))
         return out
 
-    def _fault_reads(self, vma: VMA, idx: np.ndarray,
-                     out: AccessOutcome) -> int:
-        states = vma.state[idx]
-        counts = np.bincount(states, minlength=4)
-
-        # Demand-zero read: shared zero page, minor fault, no allocation.
-        out.minor_faults += int(counts[PTE_NONE])
-
-        n_fetch = int(counts[PTE_REMOTE_INVALID])
-        if n_fetch:
-            # Major fault per page: fetch from the pool into a private
-            # local copy (TrEnv's RDMA backend, §5.1).
-            out.major_faults += n_fetch
-            out.pages_fetched += n_fetch
-            out.fetch_pools[vma.pool.name if vma.pool else "unknown"] += n_fetch
-            vma.state[idx[states == PTE_REMOTE_INVALID]] = PTE_LOCAL
-            out.local_pages_allocated += n_fetch
-            self._charge(n_fetch)
-        # PTE_REMOTE_RO reads: zero software cost (valid PTE, direct load).
-        # PTE_LOCAL reads: free.
-        if vma.pool is not None and vma.pool.byte_addressable:
-            return int(counts[PTE_REMOTE_RO])
-        return 0
-
-    def _fault_writes(self, vma: VMA, idx: np.ndarray,
-                      out: AccessOutcome) -> None:
-        if not vma.writable:
-            raise PermissionError(
-                f"write to read-only VMA {vma.name!r} in {self.name}")
-        states = vma.state[idx]
-        counts = np.bincount(states, minlength=4)
-
-        n_zero = int(counts[PTE_NONE])
-        n_cow = int(counts[PTE_REMOTE_RO])
-        n_fetch = int(counts[PTE_REMOTE_INVALID])
-
-        out.minor_faults += n_zero
+    def _fault_writes(self, vmas: List[VMA], bounds: List[int],
+                      local: np.ndarray, out: AccessOutcome) -> None:
+        states, counts = _run_states(vmas, bounds, local)
+        zero, _, cow, fetch = counts.sum(axis=0).tolist()
+        out.minor_faults += zero
         # Write-protect fault: copy the shared pool page to local DRAM
         # (CoW preserves the single shared copy, §5.1); invalid PTEs also
         # pay the fetch before the private copy materialises.
-        out.cow_faults += n_cow + n_fetch
-        if n_fetch:
-            out.major_faults += n_fetch
-            out.pages_fetched += n_fetch
-            out.fetch_pools[vma.pool.name if vma.pool else "unknown"] += n_fetch
-
-        n_alloc = n_zero + n_cow + n_fetch
-        if n_alloc:
+        out.cow_faults += cow + fetch
+        out.major_faults += fetch
+        out.pages_fetched += fetch
+        out.local_pages_allocated += zero + cow + fetch
+        if zero + cow + fetch == 0:
+            return
+        faulting = np.flatnonzero(counts[:, PTE_LOCAL]
+                                  != np.diff(bounds)).tolist()
+        per_run = counts[faulting].tolist()
+        for k, (n_zero, _, n_cow, n_fetch) in zip(faulting, per_run):
+            vma = vmas[k]
+            lo, hi = bounds[k], bounds[k + 1]
+            if n_fetch:
+                out.fetch_pools[vma.pool.name if vma.pool else "unknown"] \
+                    += n_fetch
             # Every non-LOCAL state ends LOCAL: one scatter, one charge.
-            vma.state[idx[states != PTE_LOCAL]] = PTE_LOCAL
-            out.local_pages_allocated += n_alloc
-            self._charge(n_alloc)
-        if n_cow and hooks.active is not None:
-            hooks.active.on_pte_cow(vma, n_cow)
+            vma.state[local[lo:hi][states[lo:hi] != PTE_LOCAL]] = PTE_LOCAL
+            self._charge(n_zero + n_cow + n_fetch)
+            if n_cow and hooks.active is not None:
+                hooks.active.on_pte_cow(vma, n_cow)
+
+    def _fault_reads(self, vmas: List[VMA], bounds: List[int],
+                     local: np.ndarray, out: AccessOutcome) -> int:
+        """Fault the read runs; returns how many reads hit remote pages of
+        a byte-addressable pool."""
+        states, counts = _run_states(vmas, bounds, local)
+        zero, _, remote, fetch = counts.sum(axis=0).tolist()
+        # Demand-zero read: shared zero page, minor fault, no allocation.
+        out.minor_faults += zero
+        if fetch:
+            # Major fault per page: fetch from the pool into a private
+            # local copy (TrEnv's RDMA backend, §5.1).
+            out.major_faults += fetch
+            out.pages_fetched += fetch
+            out.local_pages_allocated += fetch
+            faulting = np.flatnonzero(counts[:, PTE_REMOTE_INVALID]).tolist()
+            per_run = counts[faulting, PTE_REMOTE_INVALID].tolist()
+            for k, n_fetch in zip(faulting, per_run):
+                vma = vmas[k]
+                lo, hi = bounds[k], bounds[k + 1]
+                out.fetch_pools[vma.pool.name if vma.pool else "unknown"] \
+                    += n_fetch
+                vma.state[local[lo:hi][states[lo:hi]
+                                       == PTE_REMOTE_INVALID]] = PTE_LOCAL
+                self._charge(n_fetch)
+        # PTE_REMOTE_RO reads: zero software cost (valid PTE, direct load).
+        # PTE_LOCAL reads: free.
+        remote_ro = 0
+        if remote:
+            ro_runs = np.flatnonzero(counts[:, PTE_REMOTE_RO]).tolist()
+            per_run = counts[ro_runs, PTE_REMOTE_RO].tolist()
+            for k, n_ro in zip(ro_runs, per_run):
+                pool = vmas[k].pool
+                if pool is not None and pool.byte_addressable:
+                    remote_ro += n_ro
+        return remote_ro
 
     # -- snapshotting helpers ---------------------------------------------------------
 
@@ -398,24 +416,35 @@ class AddressSpace:
             self._cum = np.concatenate([[0], np.cumsum(sizes)])
         return self._cum
 
-    def _iter_vma_runs(self, flat_pages
-                       ) -> Iterator[Tuple[VMA, np.ndarray]]:
-        """Yield ``(vma, local_indices)`` runs of sorted flat indices."""
+    def _runs(self, flat_pages
+              ) -> Optional[Tuple[List[VMA], List[int], np.ndarray]]:
+        """Split flat page indices into per-VMA runs.
+
+        Returns ``None`` for no pages, else ``(vmas, bounds, local)``:
+        run ``k`` touches ``vmas[k]`` at local indices
+        ``local[bounds[k]:bounds[k+1]]``.  Indices are sorted first
+        unless they already are (traces are), so each VMA's touches form
+        one contiguous run found with a single ``searchsorted`` against
+        the cumulative layout.
+        """
         flat = np.asarray(flat_pages, dtype=np.int64)
         n = len(flat)
         if n == 0:
-            return
-        if n > 1 and (np.diff(flat) < 0).any():
+            return None
+        if n > 1 and (flat[1:] < flat[:-1]).any():
             flat = np.sort(flat, kind="stable")
         cum = self.flatten()
         if flat[0] < 0 or flat[-1] >= cum[-1]:
             raise IndexError("page index out of range for address space")
-        bounds = np.searchsorted(flat, cum)
-        for vma_idx in range(len(self.vmas)):
-            lo, hi = int(bounds[vma_idx]), int(bounds[vma_idx + 1])
-            if lo == hi:
-                continue
-            yield self.vmas[vma_idx], flat[lo:hi] - cum[vma_idx]
+        edges = np.searchsorted(flat, cum)
+        sizes = np.diff(edges)
+        hit = np.flatnonzero(sizes)
+        local = flat - np.repeat(cum[hit], sizes[hit])
+        all_vmas = self.vmas
+        vmas = [all_vmas[i] for i in hit.tolist()]
+        bounds = edges[hit].tolist()
+        bounds.append(n)
+        return vmas, bounds, local
 
     def _charge(self, delta_pages: int) -> None:
         if delta_pages == 0:
@@ -427,3 +456,15 @@ class AddressSpace:
             self.on_local_delta(delta_pages)
         if hooks.active is not None:
             hooks.active.on_local_charge(self, delta_pages)
+
+
+def _run_states(vmas: List[VMA], bounds: List[int], local: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Current PTE states of every run (one gather per VMA) and each run's
+    per-state histogram (one ``bincount`` over ``run * 4 + state``)."""
+    states = np.concatenate([vma.state[local[lo:hi]]
+                             for vma, lo, hi in zip(vmas, bounds, bounds[1:])])
+    key = np.repeat(np.arange(0, 4 * len(vmas), 4), np.diff(bounds))
+    key += states
+    counts = np.bincount(key, minlength=4 * len(vmas)).reshape(-1, 4)
+    return states, counts

@@ -97,24 +97,30 @@ class AccessTrace:
         n_swap = int(round(len(self.read_pages) * fraction))
         if n_swap == 0:
             return AccessTrace(self.read_pages.copy(),
-                               self.write_pages.copy(), self.read_loads)
+                               self.write_pages.copy(), self.read_loads,
+                               writable_start=self.writable_start)
+        # Both page arrays are sorted and distinct, so every set operation
+        # below is a sort-merge (see _sorted_unique / _member_mask).
         keep_idx = rng.sample_pages(len(self.read_pages),
                                     len(self.read_pages) - n_swap)
         kept = self.read_pages[np.sort(keep_idx)]
         fresh = rng.sample_pages(total_pages, n_swap)
-        reads = np.unique(np.concatenate([kept, fresh]))
+        reads = _sorted_unique(np.concatenate([kept, fresh]))
         # Writes: keep those still read, top up from the new reads to
         # preserve the write fraction (never below writable_start).
-        writes = np.intersect1d(self.write_pages, reads, assume_unique=False)
+        writes = self.write_pages[_member_mask(self.write_pages, reads)]
         deficit = len(self.write_pages) - len(writes)
         if deficit > 0:
-            candidates = np.setdiff1d(reads, writes, assume_unique=True)
-            candidates = candidates[candidates >= self.writable_start]
+            candidates = reads[~_member_mask(reads, writes)]
+            candidates = candidates[np.searchsorted(
+                candidates, self.writable_start):]
             if len(candidates):
                 extra = candidates[rng.sample_pages(
                     len(candidates), min(deficit, len(candidates)))]
-                writes = np.unique(np.concatenate([writes, extra]))
-        return AccessTrace(read_pages=reads, write_pages=np.sort(writes),
+                # Disjoint from writes and distinct: a sort, no dedupe.
+                writes = np.concatenate([writes, extra])
+                writes.sort()
+        return AccessTrace(read_pages=reads, write_pages=writes,
                            read_loads=self.read_loads,
                            writable_start=self.writable_start)
 
@@ -133,3 +139,29 @@ class AccessTrace:
         return AccessTrace(read_pages=reads, write_pages=writes,
                            read_loads=int(self.read_loads * fraction),
                            writable_start=self.writable_start)
+
+
+# numpy >= 2.3 answers np.unique, and the set operations that call it
+# (union1d; intersect1d and setdiff1d without assume_unique), with a hash
+# table, which costs far more than a merge when the inputs are already
+# sorted.  Traces keep their page arrays sorted and distinct, so jitter
+# uses these instead.
+
+def _sorted_unique(pages: np.ndarray) -> np.ndarray:
+    """``np.unique(pages)`` by sort plus adjacent-difference dedupe."""
+    pages.sort()
+    if len(pages) < 2:
+        return pages
+    keep = np.empty(len(pages), dtype=bool)
+    keep[0] = True
+    np.not_equal(pages[1:], pages[:-1], out=keep[1:])
+    return pages[keep]
+
+
+def _member_mask(pages: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """Per element of ``pages``: is it in the sorted array ``sorted_set``?"""
+    if len(sorted_set) == 0:
+        return np.zeros(len(pages), dtype=bool)
+    pos = np.searchsorted(sorted_set, pages)
+    pos[pos == len(sorted_set)] = 0
+    return sorted_set[pos] == pages

@@ -11,8 +11,11 @@ Flags:
 * ``cow_attach`` — template attach / CRIU restore share page-state
   arrays copy-on-write (:mod:`repro.mem.cow`) instead of deep-copying
   them per attach.
-* ``trace_cache`` — per-(function, invocation) generated access traces
-  are memoised instead of re-drawn from the (stateless, seeded) RNG.
+* ``trace_cache`` — each function's base access trace (per seed and
+  RNG stream) and the synthesised workload schedules and parsed traces
+  are memoised (:mod:`repro.workloads.cache`) instead of re-drawn from
+  the (stateless, seeded) RNG.  Per-invocation jittered traces are
+  always drawn fresh: their keys never repeat within a run.
 * ``timer_wheel`` — the engine schedules wake-ups on a calendar queue
   (bucket per distinct virtual time, FIFO within a bucket) instead of
   one global binary heap; same-tick wake-ups append in O(1) with no

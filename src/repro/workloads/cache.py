@@ -22,8 +22,9 @@ MAX_ENTRIES = 64
 
 
 def memoized(cache: "OrderedDict[Hashable, T]", key: Hashable,
-             build: Callable[[], T]) -> T:
-    """``build()`` once per ``key``; LRU-bounded, flag-gated.
+             build: Callable[[], T], max_entries: int = MAX_ENTRIES) -> T:
+    """``build()`` once per ``key``; LRU-bounded to ``max_entries``,
+    flag-gated.
 
     Callers must treat the returned value as immutable (or copy before
     mutating) — it is shared with future calls.
@@ -34,7 +35,7 @@ def memoized(cache: "OrderedDict[Hashable, T]", key: Hashable,
     if hit is None:
         hit = build()
         cache[key] = hit
-        if len(cache) > MAX_ENTRIES:
+        if len(cache) > max_entries:
             cache.popitem(last=False)
     else:
         cache.move_to_end(key)

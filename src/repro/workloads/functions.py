@@ -23,7 +23,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro import optflags
 from repro.mem.layout import MB, pages_for_bytes
 from repro.mem.trace import AccessTrace
 from repro.sim.rng import SeededRNG
@@ -40,16 +39,15 @@ _FUNC_SPACE = 1 << 44
 #: Bounded LRU via :func:`repro.workloads.cache.memoized`, which also
 #: gates it on :data:`repro.optflags.trace_cache` — with the flag off,
 #: every call regenerates (the A/B contract for optimisation flags).
+#: Per-invocation jittered traces are not memoised: their keys never
+#: repeat within a run, and a miss costs one RNG fork plus a sort-merge.
 _BASE_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
 
-#: (seed, rng path, function, invocation, jitter) -> jittered AccessTrace.
-#: :meth:`SeededRNG.fork` is stateless (seed + path hash), so an identical
-#: key always regenerates the identical trace — memoising it only saves
-#: host time.  Bounded LRU: cluster runs revisit the same invocation index
-#: from every node sharing a (seed, path) pair.  Gated on
-#: :data:`repro.optflags.trace_cache`.
-_INV_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
-_INV_TRACE_CACHE_MAX = 4096
+#: Bound of :data:`_BASE_TRACE_CACHE`.  Every node of a rack draws from its
+#: own RNG path, so a rack needs one entry per (node, function): 160 for
+#: 10 nodes x 16 functions.  A round-robin run cycles through all of them,
+#: so an LRU smaller than that misses on every lookup.
+BASE_TRACE_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ class FunctionProfile:
                     pages_for_bytes(self.runtime_shared_bytes)),
             )
 
-        return memoized(_BASE_TRACE_CACHE, key, build)
+        return memoized(_BASE_TRACE_CACHE, key, build, BASE_TRACE_ENTRIES)
 
     def make_trace(self, rng: SeededRNG, invocation: int = 0,
                    jitter: Optional[float] = None) -> AccessTrace:
@@ -130,20 +128,8 @@ class FunctionProfile:
         base = self.base_trace(rng)
         if jitter == 0.0:
             return base
-        if not optflags.trace_cache:
-            sub = rng.fork(f"{self.name}/inv{invocation}")
-            return base.jittered(sub, self.image_pages, jitter)
-        key = (rng.seed, rng.path, self.name, invocation, jitter)
-        hit = _INV_TRACE_CACHE.get(key)
-        if hit is not None:
-            _INV_TRACE_CACHE.move_to_end(key)
-            return hit
         sub = rng.fork(f"{self.name}/inv{invocation}")
-        trace = base.jittered(sub, self.image_pages, jitter)
-        _INV_TRACE_CACHE[key] = trace
-        if len(_INV_TRACE_CACHE) > _INV_TRACE_CACHE_MAX:
-            _INV_TRACE_CACHE.popitem(last=False)
-        return trace
+        return base.jittered(sub, self.image_pages, jitter)
 
     def content_ids(self):
         """Per-page content ids of the snapshot image.

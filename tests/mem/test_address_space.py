@@ -170,6 +170,22 @@ class TestProtection:
         with pytest.raises(PermissionError):
             space.access(arr(), arr(0))
 
+    def test_rejected_write_leaves_state_untouched(self):
+        # Writes to a CoW-able VMA come first in address order; the
+        # read-only VMA after it must reject the access before any of
+        # them are faulted in.
+        deltas = []
+        space = AddressSpace(on_local_delta=deltas.append)
+        heap = space.add_vma("heap", 10)
+        store = DedupStore(CXLPool(MB))
+        space.bind_remote(heap, store.store_image(np.arange(10)), valid=True)
+        space.add_vma("text", 10, prot=PROT_READ)
+        with pytest.raises(PermissionError):
+            space.access(arr(0, 1), arr(2, 3, 12))
+        assert (np.asarray(heap.state) == PTE_REMOTE_RO).all()
+        assert space.local_pages == 0
+        assert deltas == []
+
     def test_bind_remote_size_mismatch(self):
         space = make_space(10)
         store = DedupStore(CXLPool(MB))

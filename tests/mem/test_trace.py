@@ -80,3 +80,26 @@ def test_touched_pages_counts_union():
     trace = AccessTrace(read_pages=np.array([1, 2, 3]),
                         write_pages=np.array([3, 4]), read_loads=0)
     assert trace.touched_pages == 4
+
+
+def test_jitter_without_swaps_keeps_writable_start():
+    # 10 reads at 1% jitter round to zero swapped pages: the copy must
+    # still carry the read-only prefix bound.
+    trace = AccessTrace.generate(SeededRNG(10), 100, 0.1, 0.5,
+                                 writable_start=40)
+    same = trace.jittered(SeededRNG(11), 100, fraction=0.01)
+    assert same.writable_start == 40
+    assert np.array_equal(same.read_pages, trace.read_pages)
+    assert np.array_equal(same.write_pages, trace.write_pages)
+    assert same.read_pages is not trace.read_pages
+
+
+def test_jitter_writes_stay_in_reads_and_above_writable_start():
+    trace = AccessTrace.generate(SeededRNG(12), 2000, 0.5, 0.4,
+                                 writable_start=300)
+    jit = trace.jittered(SeededRNG(13), 2000, fraction=0.3)
+    assert np.isin(jit.write_pages, jit.read_pages).all()
+    assert (jit.write_pages >= 300).all()
+    assert (np.diff(jit.read_pages) > 0).all()
+    assert (np.diff(jit.write_pages) > 0).all()
+    assert jit.distinct_writes == trace.distinct_writes
