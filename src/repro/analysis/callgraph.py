@@ -12,11 +12,7 @@ conservative static call graph over the repository:
   receivers — through an attribute heuristic: a method name defined by
   only a few project classes resolves to all of them, while ubiquitous
   collection-protocol names (``add``, ``get``, ``append``, ...) are
-  never guessed;
-* **optflags-guarded dual paths**: call sites inside
-  ``if optflags.<flag>:`` / ``else`` blocks carry a ``guard`` tag so
-  downstream analyses know both branches belong to the graph and which
-  flag selects them.
+  never guessed.
 
 Nested functions, lambdas and comprehensions are attributed to their
 enclosing top-level function or method: the nested ``dispatch`` closure
@@ -34,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.analysis.rules import ParsedModule, _dotted_parts, _import_aliases
 
@@ -113,9 +109,6 @@ class CallSite:
     relpath: str
     line: int
     col: int
-    #: ``(flag_name, branch)`` when the call sits inside an
-    #: ``if optflags.<flag>:`` dual path; None otherwise.
-    guard: Optional[Tuple[str, bool]] = None
 
 
 class CallGraph:
@@ -209,52 +202,6 @@ def _base_qualname(node: ast.expr, module: str,
         return local_classes[parts[0]]
     head = aliases.get(parts[0], parts[0])
     return ".".join([head] + parts[1:])
-
-
-class _GuardTracker:
-    """Tracks the innermost ``if optflags.<flag>:`` guard while walking."""
-
-    def __init__(self, optflag_locals: Set[str]) -> None:
-        self._optflag_locals = optflag_locals
-
-    def flag_of(self, test: ast.expr) -> Optional[str]:
-        """``optflags.<flag>`` (or ``not`` of it) -> flag name."""
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            return self.flag_of(test.operand)
-        if isinstance(test, ast.Attribute) and \
-                isinstance(test.value, ast.Name) and \
-                test.value.id in self._optflag_locals:
-            return test.attr
-        return None
-
-
-def _walk_with_guard(body: Sequence[ast.stmt], tracker: _GuardTracker,
-                     guard: Optional[Tuple[str, bool]]
-                     ) -> Iterator[Tuple[ast.AST, Optional[Tuple[str, bool]]]]:
-    """Yield ``(node, guard)`` for every node under ``body``.
-
-    Descends into nested defs (their calls belong to the enclosing
-    function) and annotates nodes inside ``if optflags.x:`` branches.
-    """
-    for stmt in body:
-        if isinstance(stmt, ast.If):
-            flag = tracker.flag_of(stmt.test)
-            yield stmt.test, guard
-            if flag is not None:
-                negated = isinstance(stmt.test, ast.UnaryOp)
-                yield from _walk_with_guard(stmt.body, tracker,
-                                            (flag, not negated))
-                yield from _walk_with_guard(stmt.orelse, tracker,
-                                            (flag, negated))
-            else:
-                yield from _walk_with_guard(stmt.body, tracker, guard)
-                yield from _walk_with_guard(stmt.orelse, tracker, guard)
-            continue
-        yield stmt, guard
-        for child in ast.walk(stmt):
-            if child is stmt:
-                continue
-            yield child, guard
 
 
 class CallGraphBuilder:
@@ -400,28 +347,26 @@ class CallGraphBuilder:
     def _resolve_module(self, relpath: str, module: ParsedModule) -> None:
         modname = module_name_for(relpath)
         aliases = self.graph.aliases[modname]
-        optflag_locals = {name for name, target in aliases.items()
-                          if target == "repro.optflags"}
-        optflag_locals.add("optflags")
-        tracker = _GuardTracker(optflag_locals)
         for qualname in sorted(self.graph.functions):
             info = self.graph.functions[qualname]
             if info.module != modname or info.relpath != relpath:
                 continue
-            self._resolve_function(info, aliases, tracker)
+            self._resolve_function(info, aliases)
 
     def _resolve_function(self, info: FunctionInfo,
-                          aliases: Dict[str, str],
-                          tracker: _GuardTracker) -> None:
+                          aliases: Dict[str, str]) -> None:
+        # Nested defs are walked too: their calls belong to the
+        # enclosing function.
         edges = self.graph.edges.setdefault(info.qualname, [])
-        for node, guard in _walk_with_guard(info.node.body, tracker, None):
-            if not isinstance(node, ast.Call):
-                continue
-            for callee in self._call_targets(node, info, aliases):
-                edges.append(CallSite(
-                    caller=info.qualname, callee=callee,
-                    relpath=info.relpath, line=node.lineno,
-                    col=node.col_offset, guard=guard))
+        for stmt in info.node.body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                for callee in self._call_targets(node, info, aliases):
+                    edges.append(CallSite(
+                        caller=info.qualname, callee=callee,
+                        relpath=info.relpath, line=node.lineno,
+                        col=node.col_offset))
 
     def _call_targets(self, node: ast.Call, info: FunctionInfo,
                       aliases: Dict[str, str]) -> List[str]:

@@ -11,7 +11,6 @@ Recognised keys (all optional)::
     paths = ["src/repro"]               # default lint targets
     exclude = ["src/repro/vendored/*"]  # global path excludes (fnmatch)
     disable = ["SIM003"]                # rule ids to turn off entirely
-    tests_path = "tests"                # where SIM005 looks for coverage
 
     # Interprocedural deep mode (`lint --deep`, rules SIM006-SIM010):
     deep_baseline = "simlint-deep-baseline.txt"  # deep-rule allowlist
@@ -54,7 +53,6 @@ class SimlintConfig:
     paths: Tuple[str, ...] = ("src/repro",)
     exclude: Tuple[str, ...] = ()
     disable: Tuple[str, ...] = ()
-    tests_path: str = "tests"
     per_rule_exclude: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     #: Deep (interprocedural) mode: its own allowlist file, the paths
     #: forming the whole-program scope, and the simulation entry points
@@ -105,8 +103,6 @@ def _from_table(root: Path, table: Mapping[str, Any]) -> SimlintConfig:
         config.exclude = _str_tuple(table["exclude"], "exclude")
     if "disable" in table:
         config.disable = _str_tuple(table["disable"], "disable")
-    if "tests_path" in table:
-        config.tests_path = str(table["tests_path"])
     if "deep_baseline" in table:
         config.deep_baseline = str(table["deep_baseline"])
     if "deep_paths" in table:

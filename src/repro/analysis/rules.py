@@ -2,10 +2,8 @@
 
 Each rule owns an id (``SIM0xx``), a one-line title, and a rationale;
 ``docs/analysis.md`` documents all of them with examples.  File-scoped
-rules see one parsed module at a time; project-scoped rules see every
-parsed module plus the repository root (for cross-file checks such as
-optflags test coverage); deep-scoped rules (SIM006–SIM010, defined in
-:mod:`repro.analysis.shardcheck`) see a whole-program
+rules see one parsed module at a time; deep-scoped rules (SIM006–SIM010,
+defined in :mod:`repro.analysis.shardcheck`) see a whole-program
 :class:`~repro.analysis.shardcheck.DeepContext` — call graph, effect
 inference, taint — and run only under ``lint --deep``.
 
@@ -18,17 +16,14 @@ The rules encode this reproduction's determinism contract:
   can leak into scheduling/eviction/dispatch decisions.
 * SIM004 — no direct mutation of frame/charge state behind the
   accounting APIs (:mod:`repro.mem.accounting`, :mod:`repro.kernel.cgroup`).
-* SIM005 — every :mod:`repro.optflags` flag's fast/slow path pair is
-  exercised by at least one test.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple, Type)
+                    Set, Type)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.shardcheck import DeepContext
@@ -70,13 +65,9 @@ class Rule:
     rule_id: str = ""
     title: str = ""
     rationale: str = ""
-    scope: str = "file"           # "file" | "project" | "deep"
+    scope: str = "file"           # "file" | "deep"
 
     def check_file(self, module: ParsedModule) -> Iterator[Violation]:
-        return iter(())
-
-    def check_project(self, root: Path, modules: Dict[str, ParsedModule],
-                      tests_path: str) -> Iterator[Violation]:
         return iter(())
 
     def check_deep(self, context: "DeepContext") -> Iterator[Violation]:
@@ -529,112 +520,3 @@ class AccountingBypassRule(Rule):
                     module, node,
                     f"direct write to .{attr.attr} bypasses the accounting "
                     f"API owning it ({self.PROTECTED[attr.attr]})")
-
-
-# -- SIM005: optflags pairwise test coverage ----------------------------------
-
-
-@register
-class OptflagsCoverageRule(Rule):
-    rule_id = "SIM005"
-    title = "optflag fast/slow path pair untested"
-    rationale = (
-        "Every repro.optflags flag gates a fast path that must be "
-        "bit-identical to its slow path; a flag no test exercises in BOTH "
-        "states can silently drift.  The golden determinism tests use "
-        "optflags.optimizations_disabled(), which toggles every "
-        "registered flag pairwise.")
-
-    scope = "project"
-
-    @staticmethod
-    def _flags_from_module(module: ParsedModule) -> List[Tuple[str, int]]:
-        """(flag, lineno) pairs from the FLAGS registry tuple."""
-        flags: List[Tuple[str, int]] = []
-        registered: List[str] = []
-        for node in module.tree.body:
-            if isinstance(node, ast.AnnAssign) and \
-                    isinstance(node.target, ast.Name) and \
-                    node.target.id == "FLAGS":
-                value = node.value
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "FLAGS"
-                    for t in node.targets):
-                value = node.value
-            else:
-                continue
-            if isinstance(value, (ast.Tuple, ast.List)):
-                for elt in value.elts:
-                    if isinstance(elt, ast.Constant) and \
-                            isinstance(elt.value, str):
-                        registered.append(elt.value)
-        for node in module.tree.body:
-            if isinstance(node, ast.AnnAssign) and \
-                    isinstance(node.target, ast.Name) and \
-                    node.target.id in registered:
-                flags.append((node.target.id, node.lineno))
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and \
-                            target.id in registered:
-                        flags.append((target.id, node.lineno))
-        return flags
-
-    def check_project(self, root: Path, modules: Dict[str, ParsedModule],
-                      tests_path: str) -> Iterator[Violation]:
-        optflags_mod: Optional[ParsedModule] = None
-        for relpath in sorted(modules):
-            normalized = relpath.replace("\\", "/")
-            if normalized.endswith("repro/optflags.py") or \
-                    Path(normalized).name == "optflags.py":
-                optflags_mod = modules[relpath]
-                break
-        if optflags_mod is None:
-            return
-        flags = self._flags_from_module(optflags_mod)
-        if not flags:
-            return
-        tests_dir = Path(root) / tests_path
-        pairwise_all = False      # a test toggles every flag at once
-        explicit: Dict[str, Set[bool]] = {flag: set() for flag, _ in flags}
-        if tests_dir.is_dir():
-            for test_file in sorted(tests_dir.rglob("*.py")):
-                try:
-                    source = test_file.read_text(encoding="utf-8")
-                except OSError:
-                    continue
-                if "optimizations_disabled" in source:
-                    pairwise_all = True
-                self._explicit_toggles(source, explicit)
-        for flag, lineno in flags:
-            if pairwise_all or explicit[flag] == {True, False}:
-                continue
-            yield Violation(
-                rule_id=self.rule_id, relpath=optflags_mod.relpath,
-                line=lineno, col=0,
-                message=(
-                    f"optflag '{flag}' has no test exercising both its "
-                    f"fast and slow paths — add one using "
-                    f"optflags.optimizations_disabled()"),
-                snippet=optflags_mod.snippet(lineno))
-
-    @staticmethod
-    def _explicit_toggles(source: str,
-                          explicit: Dict[str, Set[bool]]) -> None:
-        """Record `optflags.<flag> = True/False` assignments in tests."""
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            return
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            if not (isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, bool)):
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Attribute) and \
-                        target.attr in explicit and \
-                        isinstance(target.value, ast.Name) and \
-                        target.value.id == "optflags":
-                    explicit[target.attr].add(node.value.value)

@@ -124,9 +124,6 @@ def run_lint(root: Path, targets: Optional[Sequence[str]] = None,
     for rule in active:
         if rule.scope == "deep":
             continue
-        if rule.scope == "project":
-            raw.extend(rule.check_project(root, modules, config.tests_path))
-            continue
         for relpath in modules:
             if config.path_excluded(relpath, rule.rule_id):
                 continue

@@ -177,7 +177,7 @@ def run_overload_chaos(seed: int = 1, quick: bool = False,
     """
     from repro.control.plane import PARALLEL_UNSAFE_REASON
     from repro.serverless.partition import FAULTS_UNSAFE_REASON
-    from repro.sim.parallel import resolve_jobs
+    from repro.serverless.parallel import resolve_jobs
 
     profile = surge_profile(quick)
     control = overload_control()

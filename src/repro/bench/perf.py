@@ -6,24 +6,18 @@ the virtual-clock latencies the paper reports.  This one measures the
 reproduction's own hot paths are visible and tracked:
 
 1. **Attach latency vs image size** — wall-clock cost of
-   ``clone_metadata`` + ``adopt_vma`` for every VMA of a template, with
-   the copy-on-write clone path (:mod:`repro.mem.cow`) against the
-   deep-copying baseline (``optflags.optimizations_disabled()``).  The
-   fixed-VMA-count sweep isolates the per-page copy cost the CoW path
-   eliminates: CoW attach time must stay flat as pages grow, mirroring
-   TrEnv's O(metadata) ``mmt_attach`` (§5.1, Figure 11).  Real function
-   layouts (DH, IR) are reported as well; those scale VMA count with
-   image size, so constant per-VMA overhead dilutes the ratio.
+   ``clone_metadata`` + ``adopt_vma`` for every VMA of a template on the
+   copy-on-write clone path (:mod:`repro.mem.cow`).  The
+   fixed-VMA-count sweep varies pages only: attach time must stay flat
+   as pages grow, mirroring TrEnv's O(metadata) ``mmt_attach`` (§5.1,
+   Figure 11).  Real function layouts (DH, IR) are reported as well;
+   those scale VMA count with image size.
 2. **Cluster throughput** — invocations simulated per host-second for a
    fig17-style W2 diurnal run.
-3. **Cluster scale-out** — a 10-node rack driving a 100k-invocation
-   quantised trace through micro functions, so engine scheduling,
-   dispatch, arrival spawning and metrics dominate the wall clock.  Run
-   twice: with this PR's hot-path optimisations (calendar queue,
-   dispatch indices, streaming metrics, batch arrivals) and with those
-   four flags off (the pre-optimisation reference paths), reporting the
-   speedup.
-4. **Peak RSS** of the harness process.
+3. **Parallel scaling** — a 10-node rack driving a 100k-invocation
+   quantised trace through micro functions, sharded at each worker
+   count.
+4. **Observability overhead** and **peak RSS** of the harness process.
 
 Results land in ``BENCH_perf.json`` at the repo root (overwritten per
 run; CI uploads it as an artifact without threshold gating).  Run via
@@ -32,7 +26,6 @@ run; CI uploads it as an artifact without threshold gating).  Run via
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import resource
@@ -42,7 +35,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import optflags
 from repro.bench.harness import run_platform_workload
 from repro.core.mm_template import (MMTemplateRegistry, MemoryTemplate,
                                     _ATTACH_PER_PAGE)
@@ -105,9 +97,7 @@ def _time_attach(template: MemoryTemplate, iters: int) -> float:
 
 
 def _attach_record(template: MemoryTemplate, iters: int) -> Dict:
-    """CoW vs copying-baseline attach cost for one template."""
-    with optflags.optimizations_disabled():
-        copy_s = _time_attach(template, iters)
+    """CoW attach cost (host and simulated) for one template."""
     # One warm attach first: building the frozen CoW bases is a one-time
     # per-template cost, exactly like the kernel sealing the template
     # page table; steady-state warm starts are what the paper plots.
@@ -120,9 +110,7 @@ def _attach_record(template: MemoryTemplate, iters: int) -> Dict:
     return {
         "pages": template.total_pages,
         "n_vmas": len(template.vmas),
-        "copy_us": copy_s * 1e6,
         "cow_us": cow_s * 1e6,
-        "speedup": copy_s / cow_s if cow_s > 0 else float("inf"),
         "simulated_ms": simulated * 1e3,
     }
 
@@ -164,15 +152,7 @@ def bench_throughput(duration: float = 120.0,
     return out
 
 
-# ----------------------------------------------------------- cluster scale --
-
-#: The four host-side hot paths introduced for trace-scale runs; turning
-#: exactly these off reproduces the pre-optimisation reference paths
-#: without also disabling earlier PRs' optimisations (CoW attach, trace
-#: cache), which both sides of the comparison keep.
-SCALE_FLAGS = ("timer_wheel", "dispatch_index", "stream_metrics",
-               "batch_arrivals")
-
+# ------------------------------------------------------------- rack runs --
 
 def micro_suite(n: int = 4):
     """Tiny functions for scale-out benchmarking.
@@ -192,18 +172,14 @@ def micro_suite(n: int = 4):
         trace_jitter=0.0) for i in range(n))
 
 
-def _run_cluster_scale(workload, suite, n_nodes: int, seed: int,
-                       stream_only: bool) -> Dict:
-    """One timed rack run; built fresh so construction-time optflag
-    snapshots reflect the caller's flag context.
+def _run_rack(workload, suite, n_nodes: int, seed: int) -> Dict:
+    """One timed rack run on a freshly built rack.
 
     Dispatch is round-robin, not the default warm-affinity: with
     zero-exec micro functions every load tie breaks to node0 and warm
     affinity then pins the entire trace there — a one-node rack in
     disguise.  Round-robin keeps all ``n_nodes`` hosts doing real work
-    (the point of a scale-out bench) while staying deterministic; the
-    warm-affinity/index decision path is measured separately in the
-    ``dispatch`` hot-path section."""
+    (the point of a scale-out bench) while staying deterministic."""
     from repro.serverless.cluster import RoundRobin, make_trenv_cluster
 
     t0 = time.perf_counter()
@@ -212,10 +188,8 @@ def _run_cluster_scale(workload, suite, n_nodes: int, seed: int,
     for platform in cluster.platforms:
         for profile in suite:
             platform.register_function(profile)
-        if stream_only:
-            # O(bins) metrics memory: the per-invocation result list is
-            # the one remaining O(invocations) host allocation.
-            platform.recorder = LatencyRecorder(keep_results=False)
+        # O(bins) metrics memory: no per-invocation result list.
+        platform.recorder = LatencyRecorder(keep_results=False)
     result = cluster.run_workload(workload)
     summary = result.recorder.summary()
     wall = time.perf_counter() - t0
@@ -229,18 +203,7 @@ def _run_cluster_scale(workload, suite, n_nodes: int, seed: int,
     }
 
 
-# Per arrival popped, the scheduler benches push this many same-tick
-# chain entries (the dispatch -> invoke -> completion wake chain every
-# invocation schedules at dt == 0).
-_SCHED_CHAIN = 2
-
-#: Hot-path sections are timed best-of-N (like the attach sweep): the
-#: paths run for fractions of a second, where scheduler noise on a
-#: shared host otherwise dominates the comparison.
-_REPEATS = 7
-
-
-def _best_s(fn, repeats: int = _REPEATS) -> float:
+def _best_s(fn, repeats: int) -> float:
     """Best-of-N wall-clock seconds for one timed closure."""
     best = float("inf")
     for _ in range(repeats):
@@ -250,349 +213,15 @@ def _best_s(fn, repeats: int = _REPEATS) -> float:
     return best
 
 
-def _bench_scheduler(times) -> Dict:
-    """Queue push/pop cost for the scenario's event stream shape.
-
-    Each side replays the op sequence its own scenario generates.  The
-    pre-PR path spawns every arrival wrapper at t=0 (the heap holds the
-    whole schedule from the first tick), pops each wrapper step, and
-    re-pushes it at its arrival time via ``Delay`` — then pays
-    :data:`_SCHED_CHAIN` same-tick wake-ups per arrival, each an
-    O(log depth) sift on a schedule-deep heap.  The batched calendar
-    queue enqueues arrivals directly at their times (no spawn storm) and
-    same-tick wake-ups are a deque append/popleft.
-    """
-    import itertools as _it
-
-    from repro.sim.engine import _CalendarQueue
-
-    time_list = [float(t) for t in times]
-
-    def heap_run():
-        # Entries are 5-tuples like the engine's real
-        # (time, seq, task, value, epoch); the task slot carries the
-        # replay kind.  kind 0: the wrapper's immediate first step at
-        # spawn time (pre-PR spawns every arrival at t=0).
-        heap: List = []
-        seq = _it.count()
-        for t in time_list:
-            heapq.heappush(heap, (0.0, next(seq), 0, t, 0))
-        while heap:
-            entry = heapq.heappop(heap)
-            kind = entry[2]
-            if kind == 0:
-                # Wrapper stepped: Delay re-push at the arrival time.
-                heapq.heappush(heap, (entry[3], next(seq), 1, None, 0))
-            elif kind == 1:
-                for _ in range(_SCHED_CHAIN):
-                    heapq.heappush(heap,
-                                   (entry[0], next(seq), 2, None, 0))
-
-    def wheel_run():
-        # Mirrors the engine's usage exactly: pushes go through
-        # _CalendarQueue.push (as _schedule does), pops drain the head
-        # bucket inline (as Simulator.run does).
-        wheel = _CalendarQueue()
-        seq = _it.count()
-        for t in time_list:
-            wheel.push(t, (next(seq), None, 0, 0))
-        times_heap = wheel._times
-        buckets = wheel._buckets
-        while times_heap:
-            t = times_heap[0]
-            bucket = buckets.get(t)
-            if not bucket:
-                heapq.heappop(times_heap)
-                if bucket is not None:
-                    del buckets[t]
-                continue
-            while bucket:
-                _s, _task, kind, _e = bucket.popleft()
-                if kind == 0:
-                    for _ in range(_SCHED_CHAIN):
-                        wheel.push(t, (next(seq), None, 1, 0))
-
-    heap_s = _best_s(heap_run)
-    wheel_s = _best_s(wheel_run)
-    return {"reference_s": heap_s, "optimized_s": wheel_s,
-            "speedup": heap_s / wheel_s if wheel_s > 0 else float("inf")}
-
-
-def _bench_dispatch(workload, suite, n_nodes: int, seed: int) -> Dict:
-    """Per-invocation dispatch decision: O(nodes) scan vs index pick.
-
-    A short prefix of the workload runs for real first, so warm pools
-    hold instances and the indices reflect a mid-run rack, then both
-    paths replay the full trace's decision stream (same inputs, loads
-    frozen — this times the decision, not the invocation)."""
-    from repro.serverless.cluster import _DispatchIndex, make_trenv_cluster
-    from repro.workloads.synthetic import Workload
-
-    cluster = make_trenv_cluster(n_nodes, CXLPool(128 * GB), seed=seed)
-    for platform in cluster.platforms:
-        for profile in suite:
-            platform.register_function(profile)
-    prefix = Workload(name="prefix", events=workload.events[:512],
-                      duration=workload.duration, soft_cap_bytes=None,
-                      keep_alive=workload.keep_alive)
-    cluster.run_workload(prefix)
-    functions = [e.function for e in workload.events]
-    policy = cluster.policy
-    platforms = cluster.platforms
-
-    def scan_run():
-        for fn in functions:
-            candidates = [p for p in platforms if not p.crashed]
-            policy.pick(candidates, fn)
-
-    index = cluster._index or _DispatchIndex(platforms)
-
-    def index_run():
-        for fn in functions:
-            index.pick(policy, fn)
-
-    scan_s = _best_s(scan_run)
-    index_s = _best_s(index_run)
-
-    for fn in functions[:64]:
-        picked = index.pick(policy, fn)
-        scanned = policy.pick([p for p in platforms if not p.crashed], fn)
-        if picked is not scanned:
-            raise RuntimeError("dispatch bench: index and scan disagree")
-    return {"reference_s": scan_s, "optimized_s": index_s,
-            "speedup": scan_s / index_s if index_s > 0 else float("inf")}
-
-
-def _synth_results(workload) -> List:
-    """Deterministic InvocationResults mirroring the scenario's stream."""
-    from repro.serverless.metrics import InvocationResult
-    kinds = ("warm", "restored", "cold")
-    out = []
-    for i, e in enumerate(workload.events):
-        startup = 1e-4 + (i % 97) * 1e-5
-        exec_ = 5e-3 + (i % 31) * 1e-4
-        queue = (i % 11) * 1e-5
-        out.append(InvocationResult(
-            function=e.function, arrival=e.time,
-            start_kind=kinds[i % len(kinds)], startup=startup,
-            exec=exec_, e2e=queue + startup + exec_, queue=queue))
-    return out
-
-
-def _metrics_report(recorder) -> None:
-    """The query load one sweep/bench report places on a recorder."""
-    recorder.summary()
-    recorder.e2e_percentile(50)
-    recorder.e2e_percentile(99)
-    recorder.startup_percentile(99)
-    recorder.start_kind_counts()
-    recorder.availability()
-
-
-def _bench_metrics(workload, n_nodes: int) -> Dict:
-    """Record + merge + report cost: exact result lists vs streaming.
-
-    The exact regime appends every result, re-appends it at merge, and
-    answers every percentile query with a full O(invocations) scan per
-    (function, metric); the streaming regime folds samples into
-    log-scale histograms and answers from bins."""
-    results = _synth_results(workload)
-    counts = []
-
-    def exact_run():
-        recorders = [LatencyRecorder() for _ in range(n_nodes)]
-        merged = LatencyRecorder()
-        for i, r in enumerate(results):
-            recorders[i % n_nodes].record(r)
-        for rec in recorders:
-            merged.merge_from(rec)
-        _metrics_report(merged)
-        counts.append(merged.count())
-
-    def stream_run():
-        recorders = [LatencyRecorder(keep_results=False)
-                     for _ in range(n_nodes)]
-        merged = LatencyRecorder(keep_results=False)
-        for i, r in enumerate(results):
-            recorders[i % n_nodes].record(r)
-        for rec in recorders:
-            merged.merge_from(rec)
-        _metrics_report(merged)
-        counts.append(merged.count())
-
-    with optflags.disabled("stream_metrics"):
-        exact_s = _best_s(exact_run)
-    stream_s = _best_s(stream_run)
-
-    if len(set(counts)) != 1:
-        raise RuntimeError("metrics bench: recorders disagree on count")
-    return {"reference_s": exact_s, "optimized_s": stream_s,
-            "speedup": exact_s / stream_s if stream_s > 0 else float("inf")}
-
-
-def _bench_schedule_build(suite, seed: int, duration: float,
-                          rate: float) -> Dict:
-    """Building the arrival schedule: scalar RNG loop vs numpy arrays.
-
-    The reference is the pre-PR construction idiom (one
-    ``rng.exponential`` call and one event append per arrival, as the
-    W1/W2 builders do); the optimised path is
-    :func:`make_scaleout_uniform`'s bulk draws + cumulative sum."""
-    import math as _math
-
-    from repro.sim.rng import SeededRNG
-    from repro.workloads.synthetic import ArrivalEvent, Workload
-
-    quantum = 0.05
-    built = []
-
-    def scalar_run():
-        rng = SeededRNG(seed, "scaleout")
-        mean_gap = 1.0 / rate
-        events = []
-        t = 0.0
-        while True:
-            t += rng.exponential(mean_gap)
-            if t >= duration:
-                break
-            snapped = _math.floor(t / quantum) * quantum
-            fn = suite[rng.randint(0, len(suite))].name
-            events.append(ArrivalEvent(snapped, fn))
-        events.sort()
-        built.append(Workload(name="scaleout", events=events,
-                              duration=duration, soft_cap_bytes=None))
-
-    def vector_run():
-        built.append(make_scaleout_uniform(seed=seed, functions=suite,
-                                           duration=duration, rate=rate,
-                                           quantum=quantum))
-
-    scalar_s = _best_s(scalar_run)
-    vector_s = _best_s(vector_run)
-
-    if abs(built[0].n_invocations - built[-1].n_invocations) > \
-            0.02 * built[-1].n_invocations + 64:
-        raise RuntimeError("schedule bench: event counts diverged")
-    return {"reference_s": scalar_s, "optimized_s": vector_s,
-            "speedup": (scalar_s / vector_s
-                        if vector_s > 0 else float("inf"))}
-
-
-def _bench_arrivals(times) -> Dict:
-    """Spawning the arrival schedule: Delay wrappers vs spawn_at_many.
-
-    The reference path is the pre-PR runner idiom verbatim: one wrapper
-    generator per arrival that Delay-sleeps then ``yield from``-delegates
-    to the invocation body (two generators, two queue entries and an
-    extra engine step each) with a per-invocation task name; the batched
-    path schedules the body directly at its arrival time."""
-    from repro.sim.engine import Delay, Simulator
-
-    def body():
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    time_list = [float(t) for t in times]
-
-    def wrapper_run():
-        sim = Simulator()
-
-        def wrapper(t):
-            yield Delay(max(0.0, t - sim.now))
-            yield from body()
-
-        for i, t in enumerate(time_list):
-            sim.spawn(wrapper(t), name=f"inv-{i}")
-        sim.run()
-
-    def direct_run():
-        sim = Simulator()
-        sim.spawn_at_many((t, body()) for t in time_list)
-        sim.run()
-
-    with optflags.disabled("timer_wheel"):
-        wrapper_s = _best_s(wrapper_run)
-    direct_s = _best_s(direct_run)
-    return {"reference_s": wrapper_s, "optimized_s": direct_s,
-            "speedup": (wrapper_s / direct_s
-                        if direct_s > 0 else float("inf"))}
-
-
-def bench_cluster_scale(n_nodes: int = 10, invocations: int = 100_000,
-                        seed: int = 3, quick: bool = False) -> Dict:
-    """10 nodes x 100k invocations: optimised vs pre-PR hot paths.
-
-    Two views of the same scenario:
-
-    * ``hot_paths`` — each per-invocation hot path (event scheduling,
-      dispatch decision, metrics recording/reporting, arrival spawning)
-      replayed at the scenario's exact op counts, optimised
-      implementation vs the flag-off reference.  ``speedup`` (the
-      headline) is the aggregate ratio over the four paths.
-    * ``end_to_end`` — the full rack run both ways.  This includes the
-      un-gated simulation machinery (generator stepping, platform
-      bookkeeping) that dominates wall clock and is identical on both
-      sides, so its ratio is structurally diluted toward 1.
-    """
-    if quick:
-        n_nodes, invocations = 4, 8_000
-    # 16 distinct functions: trace-scale runs report per-function
-    # percentiles, and the pre-PR exact recorder pays a full result-list
-    # scan per (function, metric) query.
-    suite = micro_suite(16)
-    duration = 600.0
-    rate = invocations / duration
-    workload = make_scaleout_uniform(seed=seed, functions=suite,
-                                     duration=duration, rate=rate,
-                                     quantum=0.05)
-    times = workload.times()
-
-    optimized = _run_cluster_scale(workload, suite, n_nodes, seed,
-                                   stream_only=True)
-    with optflags.disabled(*SCALE_FLAGS):
-        reference = _run_cluster_scale(workload, suite, n_nodes, seed,
-                                       stream_only=False)
-    if optimized["dispatch_counts"] != reference["dispatch_counts"]:
-        raise RuntimeError(
-            "cluster-scale bench: optimised and reference runs diverged")
-
-    hot_paths = {
-        "schedule_build": _bench_schedule_build(suite, seed, duration,
-                                                rate),
-        "scheduler": _bench_scheduler(times),
-        "dispatch": _bench_dispatch(workload, suite, n_nodes, seed),
-        "metrics": _bench_metrics(workload, n_nodes),
-        "arrivals": _bench_arrivals(times),
-    }
-    ref_total = sum(p["reference_s"] for p in hot_paths.values())
-    opt_total = sum(p["optimized_s"] for p in hot_paths.values())
-    aggregate = ref_total / opt_total if opt_total > 0 else float("inf")
-
-    return {
-        "n_nodes": n_nodes,
-        "scheduled_invocations": len(workload.events),
-        "end_to_end": {
-            "optimized": optimized,
-            "reference": reference,
-            "speedup": (reference["wall_s"] / optimized["wall_s"]
-                        if optimized["wall_s"] > 0 else float("inf")),
-        },
-        "hot_paths": dict(sorted(hot_paths.items())),
-        "hot_path_reference_s": ref_total,
-        "hot_path_optimized_s": opt_total,
-        "speedup": aggregate,
-    }
-
-
 # ----------------------------------------------------------------- parallel --
 
 def bench_parallel(n_nodes: int = 10, invocations: int = 100_000,
                    seed: int = 3, quick: bool = False,
                    jobs_cap: int = 0) -> Dict:
-    """Wall-clock scaling of the sharded PDES cluster runner.
+    """Wall-clock scaling of the sharded cluster runner.
 
-    The ``cluster_scale`` scenario (10-node rack, 100k quantised
-    invocations through micro functions, round-robin) run through
+    A 10-node rack driving 100k quantised invocations through micro
+    functions, round-robin, run through
     :func:`~repro.serverless.parallel.run_cluster_parallel` at each
     worker count.  ``jobs=1`` takes the serial reference path; every
     other count must merge back to the same dispatch counts (checked
@@ -623,7 +252,6 @@ def bench_parallel(n_nodes: int = 10, invocations: int = 100_000,
 
     serial_wall: Optional[float] = None
     reference_counts: Optional[Dict] = None
-    lookahead: Optional[float] = None
     workers: List[Dict] = []
     for j in worker_counts:
         t0 = time.perf_counter()
@@ -636,14 +264,11 @@ def bench_parallel(n_nodes: int = 10, invocations: int = 100_000,
             raise RuntimeError(
                 f"parallel bench: jobs={j} diverged from the serial "
                 "reference dispatch counts")
-        if out.report.mode == "parallel":
-            lookahead = out.report.lookahead
         n = out.result.recorder.count()
         workers.append({
             "jobs": j,
             "mode": out.report.mode,
             "n_shards": out.report.n_shards,
-            "n_windows": out.report.n_windows,
             "wall_s": wall,
             "inv_per_s": n / wall if wall > 0 else float("inf"),
             "speedup": serial_wall / wall if wall > 0 else float("inf"),
@@ -654,7 +279,6 @@ def bench_parallel(n_nodes: int = 10, invocations: int = 100_000,
         "n_nodes": n_nodes,
         "scheduled_invocations": len(workload.events),
         "host_cpus": os.cpu_count() or 1,
-        "lookahead_s": lookahead,
         "workers": workers,
     }
 
@@ -688,8 +312,7 @@ def bench_obs_overhead(quick: bool = False, seed: int = 5) -> Dict:
 
     def run_at(level: str) -> Dict:
         with observed(level):
-            out = _run_cluster_scale(workload, suite, n_nodes, seed,
-                                     stream_only=True)
+            out = _run_rack(workload, suite, n_nodes, seed)
         checks.append((out["invocations"], out["dispatch_counts"]))
         return out
 
@@ -752,7 +375,6 @@ def run_perf(quick: bool = False,
         "attach": bench_attach(iters=iters),
         "throughput": bench_throughput(duration=duration,
                                        platforms=platforms),
-        "cluster_scale": bench_cluster_scale(quick=quick),
         "parallel": bench_parallel(quick=quick, jobs_cap=jobs),
         "obs_overhead": bench_obs_overhead(quick=quick),
         "peak_rss_mb": peak_rss_mb(),

@@ -3,7 +3,7 @@
 Scaling the reproduction to trace scale means running *many* cluster
 configurations, and each configuration is an independent simulation with
 its own :class:`~repro.sim.engine.Simulator`.  The sweep runner fans a
-configuration grid across a ``multiprocessing`` pool — one shard per
+configuration grid across a process pool — one shard per
 configuration, each building its world from the configuration's seed —
 and merges the shard reports into ``BENCH_sweep.json``.
 
@@ -14,7 +14,8 @@ shard's simulated outcome is a pure function of its
 process boundary can only change host-side timings, which are reported
 under a separate ``host`` key and excluded from determinism
 comparisons.  ``tests/integration/test_golden_determinism.py`` holds
-the regression gate.
+the regression gate.  A worker that dies makes the sweep re-run every
+shard serially and record why under ``host.fallback``.
 
 Run via ``python -m repro.cli sweep [--quick] [--jobs N]``.
 """
@@ -22,13 +23,14 @@ Run via ``python -m repro.cli sweep [--quick] [--jobs N]``.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.mem.layout import GB
-from repro.sim.parallel import resolve_jobs
+from repro.serverless.parallel import resolve_jobs
 
 #: Dispatch policies the sweep exercises, by their registry names.
 POLICY_NAMES = ("warm-affinity", "least-loaded", "round-robin")
@@ -168,12 +170,18 @@ def run_sweep(configs: Optional[Sequence[SweepConfig]] = None,
         raise ValueError("sweep grid has duplicate config ids")
     t0 = time.perf_counter()
     n = resolve_jobs(jobs, len(shards))
-    if n == 1:
+    reports: Optional[List[Dict]] = None
+    fallback: Optional[str] = None
+    if n > 1:
+        try:
+            with ProcessPoolExecutor(n) as pool:
+                futures = [pool.submit(run_config, c, obs_level)
+                           for c in shards]
+                reports = [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            fallback = f"worker died: {exc}"
+    if reports is None:
         reports = [run_config(c, obs_level=obs_level) for c in shards]
-    else:
-        with multiprocessing.Pool(n) as pool:
-            reports = pool.starmap(run_config,
-                                   [(c, obs_level) for c in shards])
     wall = time.perf_counter() - t0
     merged = {
         "schema": "trenv-repro-sweep/1",
@@ -189,6 +197,8 @@ def run_sweep(configs: Optional[Sequence[SweepConfig]] = None,
                                                  key=lambda r: r["id"])},
         },
     }
+    if fallback is not None:
+        merged["host"]["fallback"] = fallback
     if obs_level != "off":
         from repro.obs.registry import MetricsRegistry
         combined = MetricsRegistry()

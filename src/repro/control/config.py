@@ -9,8 +9,8 @@ unchanged.  Passing a config arms the full plane
 shedding, circuit breakers, the cluster-wide retry budget, the timeout
 hierarchy and SLO burn-rate accounting.
 
-The knobs follow the same philosophy as :mod:`repro.optflags`: one
-declarative object, sampled at cluster construction, with the default
+The knobs form one declarative object, sampled at cluster
+construction, with the default
 configuration chosen so a healthy, under-provisioned-by-less-than-2x
 rack behaves almost identically to an uncontrolled one (nothing sheds,
 no breaker opens, budgets never run dry).

@@ -15,7 +15,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro import optflags
 from repro.mem.address_space import (MAP_PRIVATE, PROT_EXEC, PROT_READ,
                                      PROT_WRITE, AddressSpace)
 from repro.mem.cow import CowPageArray, TemplateBase
@@ -88,26 +87,18 @@ class SnapshotImage:
 
         Content ids are shared with the image copy-on-write (one frozen
         base per VMA, reused by every restore of this image) so repeated
-        restores copy no per-page arrays; with
-        :data:`repro.optflags.cow_attach` off they are copied as before.
+        restores copy no per-page arrays.
         """
         space = AddressSpace(name=name or self.function,
                              on_local_delta=on_local_delta)
-        if optflags.cow_attach:
-            if self._content_bases is None:
-                self._content_bases = [
-                    TemplateBase(content.copy())
-                    for _vma, content in self.vma_content_slices()]
-            for (vma, _content), base in zip(self.vma_content_slices(),
-                                             self._content_bases):
-                new = space.add_vma(vma.name, vma.npages, vma.prot,
-                                    vma.flags)
-                new.content = CowPageArray(base)
-        else:
-            for vma, content in self.vma_content_slices():
-                new = space.add_vma(vma.name, vma.npages, vma.prot,
-                                    vma.flags)
-                new.content[:] = content
+        if self._content_bases is None:
+            self._content_bases = [
+                TemplateBase(content.copy())
+                for _vma, content in self.vma_content_slices()]
+        for (vma, _content), base in zip(self.vma_content_slices(),
+                                         self._content_bases):
+            new = space.add_vma(vma.name, vma.npages, vma.prot, vma.flags)
+            new.content = CowPageArray(base)
         return space
 
     @classmethod

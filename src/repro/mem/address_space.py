@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import optflags
 from repro.analysis import hooks
 from repro.mem.cow import CowPageArray, TemplateBase, count_equal
 from repro.mem.layout import PAGE_SIZE
@@ -101,11 +100,11 @@ class VMA:
     def clone_metadata(self) -> "VMA":
         """Duplicate PTE metadata only (what ``mmt_attach`` copies).
 
-        With :data:`repro.optflags.cow_attach` on, the clone shares the
-        source arrays copy-on-write: the source arrays are frozen (writes
-        to them now fail fast) and the clone materialises private chunks
-        only where it is written.  Host cost is O(1) per VMA instead of
-        O(pages); simulated attach cost is unchanged either way.
+        The clone shares the source arrays copy-on-write: the source
+        arrays are frozen (writes to them now fail fast) and the clone
+        materialises private chunks only where it is written.  Host cost
+        is O(1) per VMA instead of O(pages).  Cloning a clone shares its
+        template bases and copies only its private chunks.
         """
         out = VMA.__new__(VMA)   # skip __init__: no throwaway arrays
         out.name = self.name
@@ -114,26 +113,20 @@ class VMA:
         out.flags = self.flags
         out.pool = self.pool
         out._bases = None
-        if optflags.cow_attach and type(self.state) is np.ndarray:
-            bases = self._bases
-            if bases is None:
-                bases = self._bases = (TemplateBase(self.state),
-                                       TemplateBase(self.offsets),
-                                       TemplateBase(self.content))
-            out.state = CowPageArray(bases[0])
-            out.offsets = CowPageArray(bases[1])
-            out.content = CowPageArray(bases[2])
-        else:
-            out.state = _dense_copy(self.state)
-            out.offsets = _dense_copy(self.offsets)
-            out.content = _dense_copy(self.content)
+        if type(self.state) is not np.ndarray:
+            out.state = self.state.copy()
+            out.offsets = self.offsets.copy()
+            out.content = self.content.copy()
+            return out
+        bases = self._bases
+        if bases is None:
+            bases = self._bases = (TemplateBase(self.state),
+                                   TemplateBase(self.offsets),
+                                   TemplateBase(self.content))
+        out.state = CowPageArray(bases[0])
+        out.offsets = CowPageArray(bases[1])
+        out.content = CowPageArray(bases[2])
         return out
-
-
-def _dense_copy(arr) -> np.ndarray:
-    if isinstance(arr, CowPageArray):
-        return arr.to_ndarray()
-    return arr.copy()
 
 
 @dataclass

@@ -11,9 +11,9 @@ Installation mirrors :mod:`repro.analysis.sanitizer`: a module-level
 ``maybe_observed()`` gated on the ``REPRO_OBS`` environment variable so
 the whole test suite (or any run) can be wrapped without code changes.
 
-The contract shared with the sanitizer and the optflags work: observers
-read simulated state, they never add Delays, RNG draws or any other
-simulated effect — results with observability on are bit-identical to
+The contract shared with the sanitizer and the host-side hot paths:
+observers read simulated state, they never add Delays, RNG draws or any
+other simulated effect — results with observability on are bit-identical to
 results with it off (``tests/integration/test_golden_determinism.py``).
 """
 

@@ -7,25 +7,23 @@ machines (~10)."  The cluster shares one simulator across nodes (one
 virtual clock) and dispatches invocations by policy.
 
 Dispatch is a per-invocation hot path: at trace scale (10 nodes x 100k
-invocations) the naive policies rescan every node per decision.  With
-:data:`repro.optflags.dispatch_index` (sampled at :class:`Cluster`
-construction) the built-in policies are served from incrementally
+invocations) the naive policies rescan every node per decision.  The
+state-reading built-in policies are instead served from incrementally
 maintained indices — a per-function warm-instance map fed by
 :class:`~repro.serverless.base.WarmPool` change notifications and a
 load-keyed lazy heap fed by
 :class:`~repro.sim.cpu.FairShareCPU` load notifications — with the
-O(nodes) scan kept as the fallback (and as the flag-off reference
-path).  Index picks are defined to equal the scan picks exactly, so
-simulated results are bit-identical either way.
+O(nodes) scan kept for the other policies and for re-dispatch with
+excluded nodes.  Index picks are defined to equal the scan picks
+exactly.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import optflags
 from repro.control.admission import GO
 from repro.control.config import ControlConfig
 from repro.control.plane import ControlPlane
@@ -269,13 +267,10 @@ class Cluster:
             raise ValueError("cluster node names must be unique")
         self.sim: Simulator = platforms[0].node.sim
         self.policy = policy or WarmAffinity()
-        # optflags are sampled at construction (the optflags contract).
         self._index: Optional[_DispatchIndex] = (
             _DispatchIndex(self.platforms)
-            if optflags.dispatch_index
-            and type(self.policy) in (WarmAffinity, LeastLoaded)
+            if type(self.policy) in (WarmAffinity, LeastLoaded)
             else None)
-        self._batch_arrivals = optflags.batch_arrivals
         # The control plane is armed by config presence, never a flag:
         # with control=None (the default) dispatch takes the exact
         # pre-control path and golden results are unchanged.
@@ -395,9 +390,7 @@ class Cluster:
         return chosen_warmup
 
     def run_workload(self, workload: Workload,
-                     warmup: Optional[float] = None,
-                     stepper: Optional[Callable[[Simulator], None]] = None
-                     ) -> ClusterResult:
+                     warmup: Optional[float] = None) -> ClusterResult:
         chosen_warmup = self.prepare_workload(workload, warmup)
         obs0 = obs_hooks.active
         if obs0 is not None and obs0.tracer is not None:
@@ -667,44 +660,23 @@ class Cluster:
         dispatch_fn = (dispatch if self.control_plane is None
                        else dispatch_controlled)
 
-        def arrival(event, slot):
-            yield Delay(max(0.0, event.time - self.sim.now))
-            yield from dispatch_fn(event, slot)
-
+        # One queue entry per invocation, scheduled directly at its
+        # arrival time; sequence numbers are assigned in event order.
         slots: List[Dict] = []
-        waiters = []
-        if self._batch_arrivals:
-            # One queue entry per invocation, scheduled directly at its
-            # arrival time; same wake order as the Delay wrappers
-            # (sequence numbers are assigned in event order both ways).
-            now = self.sim.now
+        now = self.sim.now
 
-            def schedule():
-                for e in workload.events:
-                    slot = {"node": None, "waiter": None,
-                            "alive": False, "gen": 0}
-                    slots.append(slot)
-                    yield (max(now, e.time), dispatch_fn(e, slot))
-
-            waiters = self.sim.spawn_at_many(schedule())
-            for slot, waiter in zip(slots, waiters):
-                slot["waiter"] = waiter
-        else:
-            for i, e in enumerate(workload.events):
+        def schedule():
+            for e in workload.events:
                 slot = {"node": None, "waiter": None,
                         "alive": False, "gen": 0}
-                waiter = self.sim.spawn(arrival(e, slot), name=f"cinv-{i}")
-                slot["waiter"] = waiter
                 slots.append(slot)
-                waiters.append(waiter)
+                yield (max(now, e.time), dispatch_fn(e, slot))
+
+        waiters = self.sim.spawn_at_many(schedule())
+        for slot, waiter in zip(slots, waiters):
+            slot["waiter"] = waiter
         self._inflight = slots
-        # The stepper hook lets the parallel runner drive this clock in
-        # conservative lookahead windows (repro.serverless.parallel);
-        # it must drain the queue completely, exactly like run().
-        if stepper is None:
-            self.sim.run()
-        else:
-            stepper(self.sim)
+        self.sim.run()
         if any(not w.done for w in waiters):
             raise RuntimeError("cluster run left invocations unfinished")
 

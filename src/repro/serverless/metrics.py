@@ -1,19 +1,15 @@
 """Latency metrics: per-invocation records, percentiles, CDFs.
 
-Two storage regimes coexist behind one :class:`LatencyRecorder` API:
-
-* the **exact** regime keeps every :class:`InvocationResult` in a list
-  (the historical behaviour) — O(invocations) memory, quantiles by
-  sorting;
-* the **streaming** regime (:data:`repro.optflags.stream_metrics`,
-  sampled at construction) additionally folds every sample into
-  fixed-bin log-scale histograms (HdrHistogram-style), so quantile
-  queries are O(bins) and — with ``keep_results=False`` — memory is
-  O(bins), not O(invocations).  Each histogram keeps an exact sample
-  buffer until :data:`EXACT_SAMPLE_CAP` samples, so small runs (every
-  tier-1 test, the golden W2 slices) answer quantile queries
-  bit-identically to the exact regime; only trace-scale runs switch to
-  binned answers (bounded relative error, see :class:`LogHistogram`).
+:class:`LatencyRecorder` folds every sample into per-function fixed-bin
+log-scale histograms (HdrHistogram-style), so quantile queries are
+O(bins) and — with ``keep_results=False`` — memory is O(bins), not
+O(invocations).  With ``keep_results`` (the default) it also keeps
+every :class:`InvocationResult` for per-invocation analysis.  Each
+histogram keeps an exact sample buffer until :data:`EXACT_SAMPLE_CAP`
+samples, so small runs (every tier-1 test, the golden W2 slices) answer
+quantile queries exactly as :func:`percentile` over the results would;
+only trace-scale runs switch to binned answers (bounded relative error,
+see :class:`LogHistogram`).
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro import optflags
 
 #: Histograms answer exactly (via a retained sample buffer) until this
 #: many samples, then drop the buffer and answer from bins.
@@ -333,9 +327,7 @@ class LatencyRecorder:
         self.results: List[InvocationResult] = []
         #: Invocations that never completed: (function, arrival, reason).
         self.failures: List[Tuple[str, float, str]] = []
-        streaming = optflags.stream_metrics or not keep_results
-        self._per_fn: Optional[Dict[str, _FunctionAggregate]] = (
-            {} if streaming else None)
+        self._per_fn: Dict[str, _FunctionAggregate] = {}
 
     # -- warm-up handling --------------------------------------------------------
 
@@ -358,10 +350,6 @@ class LatencyRecorder:
             for r in self.results:
                 self._stream_add(r)
 
-    @property
-    def streaming(self) -> bool:
-        return self._per_fn is not None
-
     # -- recording ----------------------------------------------------------------
 
     def _stream_add(self, result: InvocationResult) -> None:
@@ -377,9 +365,9 @@ class LatencyRecorder:
         # _stream_add inlined: one call per invocation at trace scale.
         if self.keep_results:
             self.results.append(result)
-        per_fn = self._per_fn
-        if per_fn is None or result.arrival < self._warmup:
+        if result.arrival < self._warmup:
             return
+        per_fn = self._per_fn
         agg = per_fn.get(result.function)
         if agg is None:
             agg = per_fn[result.function] = _FunctionAggregate()
@@ -400,15 +388,10 @@ class LatencyRecorder:
             for result in other.results:
                 self.record(result)
         else:
-            if self._per_fn is None:
-                raise RuntimeError(
-                    "cannot merge a streaming-only recorder into an "
-                    "exact-only one")
             if other._warmup != self._warmup:
                 raise RuntimeError(
                     "streaming merge requires matching warm-ups "
                     f"({other._warmup} != {self._warmup})")
-            assert other._per_fn is not None
             for fn, agg in sorted(other._per_fn.items()):
                 mine = self._per_fn.get(fn)
                 if mine is None:
@@ -438,7 +421,6 @@ class LatencyRecorder:
         the per-function ones (order-independent), so the per-record
         hot path maintains exactly one aggregate, not two.
         """
-        assert self._per_fn is not None
         if function is None:
             total = _FunctionAggregate()
             for fn in sorted(self._per_fn):
@@ -447,84 +429,57 @@ class LatencyRecorder:
         return self._per_fn.get(function)
 
     def functions(self) -> List[str]:
-        if self._per_fn is not None:
-            return sorted(fn for fn, agg in self._per_fn.items()
-                          if agg.e2e.count)
-        return sorted({r.function for r in self.measured()})
+        return sorted(fn for fn, agg in self._per_fn.items()
+                      if agg.e2e.count)
 
     # -- aggregates ------------------------------------------------------------------
 
     def e2e_percentile(self, p: float, function: Optional[str] = None) -> float:
-        if self._per_fn is not None:
-            agg = self._agg(function)
-            if not 0.0 <= p <= 100.0:
-                raise ValueError(f"percentile out of range: {p}")
-            return agg.e2e.quantile(p) if agg else float("nan")
-        return percentile([r.e2e for r in self.measured(function)], p)
+        agg = self._agg(function)
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile out of range: {p}")
+        return agg.e2e.quantile(p) if agg else float("nan")
 
     def startup_percentile(self, p: float,
                            function: Optional[str] = None) -> float:
-        if self._per_fn is not None:
-            agg = self._agg(function)
-            if not 0.0 <= p <= 100.0:
-                raise ValueError(f"percentile out of range: {p}")
-            return agg.startup.quantile(p) if agg else float("nan")
-        return percentile([r.startup for r in self.measured(function)], p)
+        agg = self._agg(function)
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile out of range: {p}")
+        return agg.startup.quantile(p) if agg else float("nan")
 
     def exec_percentile(self, p: float, function: Optional[str] = None) -> float:
-        if self._per_fn is not None:
-            agg = self._agg(function)
-            if not 0.0 <= p <= 100.0:
-                raise ValueError(f"percentile out of range: {p}")
-            return agg.exec.quantile(p) if agg else float("nan")
-        return percentile([r.exec for r in self.measured(function)], p)
+        agg = self._agg(function)
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile out of range: {p}")
+        return agg.exec.quantile(p) if agg else float("nan")
 
     def mean_e2e(self, function: Optional[str] = None) -> float:
-        if self._per_fn is not None:
-            agg = self._agg(function)
-            return agg.e2e.mean() if agg else float("nan")
-        vals = [r.e2e for r in self.measured(function)]
-        return float(np.mean(vals)) if vals else float("nan")
+        agg = self._agg(function)
+        return agg.e2e.mean() if agg else float("nan")
 
     def mean_exec(self, function: Optional[str] = None) -> float:
-        if self._per_fn is not None:
-            agg = self._agg(function)
-            return agg.exec.mean() if agg else float("nan")
-        vals = [r.exec for r in self.measured(function)]
-        return float(np.mean(vals)) if vals else float("nan")
+        agg = self._agg(function)
+        return agg.exec.mean() if agg else float("nan")
 
     def cdf(self, function: Optional[str] = None
             ) -> Tuple[np.ndarray, np.ndarray]:
         """(sorted latencies, cumulative probability) for CDF plots."""
-        if self._per_fn is not None:
-            agg = self._agg(function)
-            if agg is None:
-                empty = np.empty(0)
-                return empty, empty
-            return agg.e2e.cdf_points()
-        vals = np.sort([r.e2e for r in self.measured(function)])
-        if vals.size == 0:
-            return vals, vals
-        probs = np.arange(1, vals.size + 1) / vals.size
-        return vals, probs
+        agg = self._agg(function)
+        if agg is None:
+            empty = np.empty(0)
+            return empty, empty
+        return agg.e2e.cdf_points()
 
     def start_kind_counts(self, function: Optional[str] = None
                           ) -> Dict[str, int]:
-        if self._per_fn is not None:
-            agg = self._agg(function)
-            if agg is None:
-                return {}
-            return dict(sorted(agg.start_kinds.items()))
-        counts: Dict[str, int] = {}
-        for r in self.measured(function):
-            counts[r.start_kind] = counts.get(r.start_kind, 0) + 1
-        return counts
+        agg = self._agg(function)
+        if agg is None:
+            return {}
+        return dict(sorted(agg.start_kinds.items()))
 
     def count(self, function: Optional[str] = None) -> int:
-        if self._per_fn is not None:
-            agg = self._agg(function)
-            return agg.e2e.count if agg else 0
-        return len(self.measured(function))
+        agg = self._agg(function)
+        return agg.e2e.count if agg else 0
 
     def availability(self) -> Dict[str, float]:
         """Availability under faults: how invocations fared, post-warmup.
@@ -536,27 +491,17 @@ class LatencyRecorder:
         budget).
         """
         failed = [f for f in self.failures if f[1] >= self._warmup]
-        if self._per_fn is not None:
-            agg = self._agg(None)
-            completed = agg.e2e.count
-            total = completed + len(failed)
-            return {
-                "completed": completed,
-                "failed": len(failed),
-                "degraded": agg.degraded,
-                "retried": agg.retried,
-                "retries_total": agg.retries_total,
-                "success_rate": (completed / total) if total else 1.0,
-            }
-        rs = self.measured()
-        total = len(rs) + len(failed)
+        agg = self._agg(None)
+        assert agg is not None
+        completed = agg.e2e.count
+        total = completed + len(failed)
         return {
-            "completed": len(rs),
+            "completed": completed,
             "failed": len(failed),
-            "degraded": sum(1 for r in rs if r.degraded),
-            "retried": sum(1 for r in rs if r.retries > 0),
-            "retries_total": sum(r.retries for r in rs),
-            "success_rate": (len(rs) / total) if total else 1.0,
+            "degraded": agg.degraded,
+            "retried": agg.retried,
+            "retries_total": agg.retries_total,
+            "success_rate": (completed / total) if total else 1.0,
         }
 
     def summary(self) -> Dict[str, Dict[str, float]]:

@@ -1,53 +1,79 @@
 """Parallel cluster runs: node-group shards across worker processes.
 
 :func:`run_cluster_parallel` executes one :class:`ClusterSpec` +
-:class:`~repro.workloads.synthetic.Workload` either serially (the
-reference path) or sharded across a ``multiprocessing`` pool, and the
-two are **bit-identical by construction**:
+:class:`~repro.workloads.synthetic.Workload` in three steps — plan, run,
+merge — and the result is **bit-identical to the serial run by
+construction**:
 
-* :func:`~repro.serverless.partition.plan_shards` first proves the run
-  statically partitionable (round-robin assignment, no control plane,
-  no faults) or names why not — ineligible runs take the serial path
-  and report the reasons;
-* each worker rebuilds the *full* rack from the spec — every platform,
-  every function registration in serial order — so shared pool/store
-  contents and registration-time RNG draws match the serial run, then
-  drives **only its owned events** (a contiguous node block) through a
-  :class:`~repro.sim.parallel.ShardRunner` window loop;
-* dispatch inside a worker replays the plan's static assignment via a
-  scripted policy, so per-node event streams equal the serial run's
-  slices exactly;
-* shard outcomes merge in shard order, which equals the serial
-  per-node merge order because node blocks are contiguous.
+* **plan**: :func:`~repro.serverless.partition.plan_shards` proves the
+  run statically partitionable (round-robin assignment, no control
+  plane, no faults) or names why not — ineligible runs take the serial
+  path and report the reasons;
+* **run**: each worker rebuilds the *full* rack from the spec — every
+  platform, every function registration in serial order — so shared
+  pool/store contents and registration-time RNG draws match the serial
+  run, then runs **only its owned events** (a contiguous node block)
+  with a plain :meth:`~repro.serverless.cluster.Cluster.run_workload`.
+  Dispatch replays the plan's static assignment via a scripted policy,
+  so per-node event streams equal the serial run's slices exactly;
+* **merge**: shard outcomes merge in shard order, which equals the
+  serial per-node merge order because node blocks are contiguous.
 
-Statically-partitioned runs exchange no cross-shard events (the plan
-proves ``channels_open=False``), so the window barriers degenerate to
-local pacing and workers never block on each other — that elision is
-what makes the scaling near-linear; the general barrier/mailbox
-protocol lives in :mod:`repro.sim.parallel` and is pinned by its own
-tests.  The windows still run for real: each worker steps its clock
-with ``run_window`` and folds every barrier into a digest the report
-exposes, so a scheduling regression that perturbed window structure
-would be visible across worker counts.
+Statically partitioned shards exchange no events, so workers never
+wait on each other.  A worker that dies (``BrokenProcessPool``) makes
+the run re-execute serially and say so in the report, instead of
+hanging the parent.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence,
                     Tuple)
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.obs.trace import SpanTracer
 
-from repro import optflags
 from repro.serverless.cluster import ClusterResult, DispatchPolicy
 from repro.serverless.metrics import LatencyRecorder
 from repro.serverless.partition import (ClusterSpec, ParallelPlan,
                                         SerialFallback, plan_shards)
-from repro.sim.parallel import ParallelReport, ShardRunner, resolve_jobs
 from repro.workloads.synthetic import ArrivalEvent, Workload
+
+
+def resolve_jobs(jobs: int, shards: int) -> int:
+    """The one worker-count rule shared by every ``--jobs`` surface.
+
+    ``jobs <= 0`` means "size to the machine": ``min(cpu_count,
+    shards)``.  Explicit requests are capped by the shard count (a
+    worker with no shard would idle) and floored at one.
+    """
+    if shards <= 0:
+        return 1
+    if jobs <= 0:
+        jobs = os.cpu_count() or 1
+    return max(1, min(jobs, shards))
+
+
+@dataclass
+class ParallelReport:
+    """Host-side summary of one parallel run, for bench/CLI reports."""
+
+    mode: str                      # "parallel" | "fallback"
+    jobs: int
+    n_shards: int
+    reasons: List[str] = field(default_factory=list)
+
+    def to_dict(self) -> Dict:
+        return {
+            "mode": self.mode,
+            "jobs": self.jobs,
+            "n_shards": self.n_shards,
+            "reasons": list(self.reasons),
+        }
 
 
 class ScriptedPolicy(DispatchPolicy):
@@ -85,7 +111,6 @@ class _ShardOutcome:
     failed: List[Tuple[str, float, str]]
     duration: float
     pool_used_mb: float
-    digest: int
     registry: Optional[Dict]
     tracer: Optional[Dict] = None
 
@@ -119,11 +144,10 @@ def _sub_workload(workload: Workload, events: List[ArrivalEvent],
 
 def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
                   group: Tuple[int, int], events: List[ArrivalEvent],
-                  node_seq: List[str], horizon: float, lookahead: float,
-                  warmup: Optional[float], obs_level: str) -> _ShardOutcome:
-    """One shard: rebuild the world, drive owned events in windows."""
+                  node_seq: List[str], warmup: Optional[float],
+                  obs_level: str) -> _ShardOutcome:
+    """One shard: rebuild the world, run its owned events."""
     from repro.obs.observer import observed
-    from repro.sim.parallel import plan_windows
 
     # Build and prepare (replay registration) OUTSIDE the observed
     # window on every path: each worker replays the full registration
@@ -141,27 +165,17 @@ def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
     # (built for stateful policies only) is never consulted for it.
     assert cluster._index is None
 
-    runner_box: List[ShardRunner] = []
-
-    def stepper(sim):
-        plan = plan_windows(horizon, lookahead, channels_open=False)
-        runner = ShardRunner(shard, sim, plan)
-        runner_box.append(runner)
-        while runner.advance_one_window() is not None:
-            pass
-        runner.finish()
-
     sub = _sub_workload(workload, events, shard)
     registry_dict: Optional[Dict] = None
     tracer_dict: Optional[Dict] = None
     if obs_level != "off":
         with observed(obs_level) as obs:
-            cluster.run_workload(sub, warmup=warmup, stepper=stepper)
+            cluster.run_workload(sub, warmup=warmup)
         registry_dict = obs.registry.to_dict()
         if obs.tracer is not None:
             tracer_dict = obs.tracer.to_dict()
     else:
-        cluster.run_workload(sub, warmup=warmup, stepper=stepper)
+        cluster.run_workload(sub, warmup=warmup)
 
     start, end = group
     owned = cluster.platforms[start:end]
@@ -180,7 +194,6 @@ def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
         failed=list(cluster.failed),
         duration=cluster.sim.now,
         pool_used_mb=cluster.rack_pool_used_mb(),
-        digest=runner_box[0].digest,
         registry=registry_dict,
         tracer=tracer_dict)
 
@@ -203,8 +216,7 @@ def _run_serial(spec: ClusterSpec, workload: Workload,
         tracer = obs.tracer
     else:
         result = cluster.run_workload(workload, warmup=warmup)
-    report = ParallelReport(mode=mode, jobs=jobs, n_shards=1, n_windows=0,
-                            lookahead=0.0, window_width=0.0,
+    report = ParallelReport(mode=mode, jobs=jobs, n_shards=1,
                             reasons=list(reasons))
     return ParallelRunOutcome(result=result, report=report,
                               registry=registry_dict, tracer=tracer,
@@ -262,13 +274,9 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
     worker count (one contiguous node block per worker).  Results are
     independent of the worker count: any eligible sharding merges back
     to the serial result bit-for-bit, and ineligible configurations
-    run the serial path outright (``report.reasons`` says why).
+    (including ``jobs=1``) run the serial path outright
+    (``report.reasons`` says why).
     """
-    # Sampled at entry, like every optflag (construction-time contract).
-    if not optflags.parallel_sim:
-        return _run_serial(spec, workload, warmup, obs_level,
-                           mode="serial", jobs=1,
-                           reasons=["optflags.parallel_sim disabled"])
     n_jobs = resolve_jobs(jobs, spec.n_nodes)
     plan = plan_shards(spec, workload, n_jobs)
     if isinstance(plan, SerialFallback):
@@ -283,23 +291,21 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
         events = [workload.events[i] for i in indices]
         node_seq = [node_names[plan.assignment[i]] for i in indices]
         tasks.append((spec, workload, shard, plan.node_groups[shard],
-                      events, node_seq, plan.horizon, plan.lookahead,
-                      warmup, obs_level))
-
-    if plan.n_shards == 1:
-        outcomes = [_shard_worker(*tasks[0])]
-    else:
-        with multiprocessing.Pool(plan.n_shards) as pool:
-            outcomes = pool.starmap(_shard_worker, tasks)
-    outcomes.sort(key=lambda o: o.shard)
+                      events, node_seq, warmup, obs_level))
+    # One worker per shard.  ``_shard_worker`` is looked up at call time,
+    # so a wrapped worker (instrumentation, fault tests) is the one sent.
+    try:
+        with ProcessPoolExecutor(plan.n_shards) as pool:
+            futures = [pool.submit(_shard_worker, *task) for task in tasks]
+            outcomes = [f.result() for f in futures]
+    except BrokenProcessPool as exc:
+        return _run_serial(spec, workload, warmup, obs_level,
+                           mode="fallback", jobs=plan.n_shards,
+                           reasons=[f"worker died: {exc}"])
 
     result = _merge_outcomes(spec, workload, warmup, plan, outcomes)
-    window = plan.window_plan()
-    report = ParallelReport(
-        mode="parallel", jobs=plan.n_shards, n_shards=plan.n_shards,
-        n_windows=window.n_windows, lookahead=window.lookahead,
-        window_width=window.width,
-        shard_digests=[o.digest for o in outcomes])
+    report = ParallelReport(mode="parallel", jobs=plan.n_shards,
+                            n_shards=plan.n_shards)
     registry: Optional[Dict] = None
     if obs_level != "off":
         from repro.obs.registry import MetricsRegistry

@@ -39,7 +39,6 @@ from repro.control.config import ControlConfig
 from repro.mem.layout import GB
 from repro.serverless.cluster import Cluster, make_policy, make_trenv_cluster
 from repro.serverless.metrics import LatencyRecorder
-from repro.sim.parallel import derive_lookahead, plan_windows
 from repro.workloads.functions import FunctionProfile
 from repro.workloads.synthetic import Workload
 
@@ -87,7 +86,7 @@ class ClusterSpec:
     policy: str = "round-robin"
     functions: Tuple[FunctionProfile, ...] = ()
     #: keep per-invocation results (False = streaming-only recorders,
-    #: the trace-scale memory mode of bench_cluster_scale).
+    #: the trace-scale memory mode of rack benchmarks).
     keep_results: bool = True
     fallback_pool: Optional[PoolSpec] = None
     control: Optional[ControlConfig] = None
@@ -125,26 +124,11 @@ class ParallelPlan:
     #: Shard -> [start, end) node-index block; blocks are contiguous
     #: and cover [0, n_nodes) so shard-order merge == node-order merge.
     node_groups: Tuple[Tuple[int, int], ...]
-    horizon: float
-    lookahead: float
-    #: Statically-partitioned runs exchange no cross-shard events, so
-    #: the runner may elide window barriers entirely.
-    channels_open: bool = False
-
-    def shard_of_node(self, node: int) -> int:
-        for shard, (start, end) in enumerate(self.node_groups):
-            if start <= node < end:
-                return shard
-        raise ValueError(f"node {node} outside every shard group")
 
     def owned_events(self, shard: int) -> List[int]:
         start, end = self.node_groups[shard]
         return [i for i, node in enumerate(self.assignment)
                 if start <= node < end]
-
-    def window_plan(self):
-        return plan_windows(self.horizon, self.lookahead,
-                            channels_open=self.channels_open)
 
 
 def node_groups_for(n_nodes: int, n_shards: int) -> Tuple[Tuple[int, int], ...]:
@@ -192,7 +176,4 @@ def plan_shards(spec: ClusterSpec, workload: Workload, n_shards: int,
     return ParallelPlan(
         n_shards=n_shards,
         assignment=tuple(assignment),
-        node_groups=node_groups_for(spec.n_nodes, n_shards),
-        horizon=float(workload.duration),
-        lookahead=derive_lookahead(),
-        channels_open=False)
+        node_groups=node_groups_for(spec.n_nodes, n_shards))

@@ -5,13 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro import optflags
 from repro.control.config import ControlConfig
 from repro.node import Node
 from repro.obs import hooks as obs_hooks
 from repro.serverless.base import ServerlessPlatform
 from repro.serverless.metrics import LatencyRecorder
-from repro.sim.engine import Delay
 from repro.workloads.functions import FUNCTIONS, FunctionProfile, function_by_name
 from repro.workloads.synthetic import Workload
 
@@ -85,21 +83,11 @@ def run_workload(platform: ServerlessPlatform, workload: Workload,
         finally:
             tracer.finish(ctx, node.now)
 
-    def arrival(event):
-        yield Delay(max(0.0, event.time - node.now))
-        yield from invoke(event)
-
-    if optflags.batch_arrivals:
-        # Schedule each invocation directly at its arrival time: one
-        # queue entry per arrival instead of a spawn plus a Delay, and
-        # no wrapper generator churn.  Wake order matches the reference
-        # path (sequence numbers are assigned in event order both ways).
-        now = node.sim.now
-        waiters = node.sim.spawn_at_many(
-            (max(now, e.time), invoke(e)) for e in workload.events)
-    else:
-        waiters = [node.sim.spawn(arrival(e), name=f"inv-{i}")
-                   for i, e in enumerate(workload.events)]
+    # Each invocation is scheduled directly at its arrival time: one
+    # queue entry per arrival, in event order.
+    now = node.sim.now
+    waiters = node.sim.spawn_at_many(
+        (max(now, e.time), invoke(e)) for e in workload.events)
     node.sim.run()
     pending = [w for w in waiters if not w.done]
     if pending:

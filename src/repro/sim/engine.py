@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from typing import (Any, Callable, Deque, Dict, Generator, Iterable, List,
+from typing import (Any, Callable, Dict, Generator, Iterable, List,
                     Optional, Tuple)
 
-from repro import optflags
 from repro.analysis import hooks
 
 
@@ -261,115 +259,18 @@ def _is_generator(obj: Any) -> bool:
     return hasattr(obj, "send") and hasattr(obj, "throw")
 
 
-class _CalendarQueue:
-    """Calendar/timer-wheel event queue: one FIFO bucket per distinct time.
-
-    The engine's workload is dominated by *same-tick* scheduling — event
-    triggers, spawns and interrupt wake-ups all enqueue at ``dt == 0``
-    while the current tick is still draining.  A binary heap pays
-    O(log n) tuple comparisons for each of those; here they are a plain
-    ``deque.append`` into the bucket being drained.  The heap of
-    *distinct* times only sees one push per new virtual timestamp.
-
-    Entries are ``(seq, task, value, epoch)`` and sequence numbers are
-    globally monotone, so FIFO order within a bucket is exactly ``seq``
-    order — pop order is identical, entry for entry, to the reference
-    heapq scheduler's ``(time, seq)`` order (the property test in
-    ``tests/sim/test_calendar_queue.py`` pins this, cancellations
-    included).  Cancellation stays O(1): the epoch stamp is checked at
-    pop, never scanned for.
-    """
-
-    __slots__ = ("_buckets", "_times")
-
-    def __init__(self) -> None:
-        #: time -> FIFO of (seq, task, value, epoch), appended in seq order.
-        self._buckets: Dict[float, Deque[Tuple[int, "_Task", Any, int]]] = {}
-        #: min-heap of times that currently (or recently) own a bucket.
-        self._times: List[float] = []
-
-    def push(self, time: float, entry: Tuple[int, "_Task", Any, int]) -> None:
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = deque((entry,))
-            heapq.heappush(self._times, time)
-        else:
-            # Same-tick fast path: no heap traffic at all.  The drained
-            # bucket is only garbage-collected lazily (peek), so a burst
-            # of dt=0 wake-ups lands here even mid-drain.
-            bucket.append(entry)
-
-    def peek_key(self) -> Optional[Tuple[float, int]]:
-        """(time, seq) of the next pop, or None when empty."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets.get(t)
-            if bucket:
-                return (t, bucket[0][0])
-            heapq.heappop(times)
-            if bucket is not None:
-                del buckets[t]
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        key = self.peek_key()
-        return key[0] if key is not None else None
-
-    def pop(self) -> Tuple[float, int, "_Task", Any, int]:
-        key = self.peek_key()
-        if key is None:
-            raise IndexError("pop from empty calendar queue")
-        t = key[0]
-        seq, task, value, epoch = self._buckets[t].popleft()
-        return t, seq, task, value, epoch
-
-    def pop_head(self) -> Tuple[float, int, "_Task", Any, int]:
-        """Pop immediately after a successful :meth:`peek_key`.
-
-        Skips the head-validation walk ``peek_key`` already performed;
-        only valid while nothing was pushed/popped in between.
-        """
-        t = self._times[0]
-        seq, task, value, epoch = self._buckets[t].popleft()
-        return t, seq, task, value, epoch
-
-    def pop_or_none(self) -> Optional[Tuple[float, int, "_Task", Any, int]]:
-        """Validate the head and pop it in one walk; None when empty."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets.get(t)
-            if bucket:
-                seq, task, value, epoch = bucket.popleft()
-                return t, seq, task, value, epoch
-            heapq.heappop(times)
-            if bucket is not None:
-                del buckets[t]
-        return None
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
-
-
 class Simulator:
     """Deterministic event loop with a virtual clock in seconds.
 
-    Two interchangeable schedulers back the loop.  The reference path is
-    a single binary heap of ``(time, seq, task, value, epoch)`` tuples;
-    the fast path (:data:`repro.optflags.timer_wheel`, sampled at
-    construction) is a :class:`_CalendarQueue`.  Both pop in identical
-    ``(time, seq)`` order, so simulated results are bit-identical either
-    way — the flag only trades host-side constant factors.
+    Task wake-ups live in one binary heap of ``(time, seq, task, value,
+    epoch)`` tuples and plain callbacks in a second heap of ``(time,
+    seq, fn)``; both draw ``seq`` from one counter, so execution order
+    is exactly ``(time, seq)`` across the two.
     """
 
     def __init__(self):
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, _Task, Any, int]] = []
-        self._wheel: Optional[_CalendarQueue] = (
-            _CalendarQueue() if optflags.timer_wheel else None)
         self._seq = itertools.count()
         self._callbacks: List[Tuple[float, int, Callable[[], None]]] = []
 
@@ -386,9 +287,7 @@ class Simulator:
 
         Equivalent to spawning a wrapper that first ``Delay``-sleeps
         until ``when``, minus the wrapper: one queue entry instead of
-        two and no throwaway generator.  Workload runners use this to
-        batch-spawn precomputed arrival schedules
-        (:data:`repro.optflags.batch_arrivals`).
+        two and no throwaway generator.
         """
         if when < self.now:
             raise SimulationError(
@@ -403,50 +302,25 @@ class Simulator:
         """Batch :meth:`spawn_at` for a whole arrival schedule.
 
         Equivalent to ``[spawn_at(t, g) for t, g in schedule]`` (same
-        sequence-number assignment order, so identical pop order), but
-        consecutive same-time entries reuse one bucket lookup — on a
-        quantised trace that is one dict probe per distinct tick rather
-        than per invocation.  Wake times are ``when`` exactly;
-        :meth:`spawn_at` round-trips through ``now + (when - now)``,
-        which is bit-identical whenever ``now == 0.0`` (how workload
-        runners use both).
+        sequence-number assignment order, so identical pop order)
+        without the per-entry method calls.  Wake times are ``when``
+        exactly; :meth:`spawn_at` round-trips through ``now + (when -
+        now)``, which is bit-identical whenever ``now == 0.0`` (how
+        workload runners use both).
         """
         now = self.now
         nxt = self._seq.__next__
-        wheel = self._wheel
+        queue = self._queue
+        push = heapq.heappush
         waiters: List[Waiter] = []
         out = waiters.append
-        task_cls = _Task
-        waiter_cls = Waiter
-        if wheel is None:
-            queue = self._queue
-            push = heapq.heappush
-            for when, gen in schedule:
-                if when < now:
-                    raise SimulationError(
-                        f"spawn_at into the past: {when} < {now}")
-                task = task_cls(self, gen)
-                push(queue, (when, nxt(), task, None, 0))
-                out(waiter_cls(task))
-            return waiters
-        buckets = wheel._buckets
-        times_heap = wheel._times
-        last_time: Optional[float] = None
-        put = None
         for when, gen in schedule:
             if when < now:
                 raise SimulationError(
                     f"spawn_at into the past: {when} < {now}")
-            task = task_cls(self, gen)
-            if when != last_time:
-                bucket = buckets.get(when)
-                if bucket is None:
-                    bucket = buckets[when] = deque()
-                    heapq.heappush(times_heap, when)
-                put = bucket.append
-                last_time = when
-            put((nxt(), task, None, 0))
-            out(waiter_cls(task))
+            task = _Task(self, gen)
+            push(queue, (when, nxt(), task, None, 0))
+            out(Waiter(task))
         return waiters
 
     def event(self) -> Event:
@@ -459,100 +333,43 @@ class Simulator:
         heapq.heappush(self._callbacks, (when, next(self._seq), fn))
 
     def _schedule(self, dt: float, task: _Task, value: Any) -> None:
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push(self.now + dt,
-                       (next(self._seq), task, value, task._epoch))
-        else:
-            heapq.heappush(self._queue,
-                           (self.now + dt, next(self._seq), task, value,
-                            task._epoch))
+        heapq.heappush(self._queue,
+                       (self.now + dt, next(self._seq), task, value,
+                        task._epoch))
 
     # -- running -------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, *,
-            pad: bool = True) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Drain events; stop at ``until`` (simulated seconds) if given.
 
-        The loop body is :meth:`_peek_time` + :meth:`_step` fused: at
-        trace scale the peek/step call chain itself is measurable, so
-        the head is computed once per event and popped directly.
-
-        With ``pad`` (the default) the clock is advanced to ``until``
-        even when the last event lands earlier — the historical
-        behaviour.  ``pad=False`` leaves ``now`` at the last executed
-        event, which :meth:`run_window` needs so a windowed run reports
-        the same final clock as one uninterrupted ``run()``.
+        When ``until`` is given the clock ends at ``until`` even if the
+        last event lands earlier.  The loop body is :meth:`_peek_time`
+        + :meth:`_step` fused: at trace scale the call chain itself is
+        measurable.
         """
-        wheel = self._wheel
         queue = self._queue
         callbacks = self._callbacks
-        if wheel is not None:
-            wtimes = wheel._times
-            wbuckets = wheel._buckets
+        pop = heapq.heappop
         while True:
-            bucket = None
-            if wheel is not None:
-                # Inlined peek_key: validate the head bucket once and
-                # keep it so the pop below is a bare popleft.
-                head = None
-                while wtimes:
-                    t = wtimes[0]
-                    bucket = wbuckets.get(t)
-                    if bucket:
-                        head = (t, bucket[0][0])
-                        break
-                    heapq.heappop(wtimes)
-                    if bucket is not None:
-                        del wbuckets[t]
-            elif queue:
-                entry = queue[0]
-                head = (entry[0], entry[1])
-            else:
-                head = None
             if callbacks:
                 cb = callbacks[0]
-                if head is None or (cb[0], cb[1]) < head:
+                if not queue or (cb[0], cb[1]) < (queue[0][0], queue[0][1]):
                     when = cb[0]
                     if until is not None and when > until:
-                        if pad:
-                            self.now = until
+                        self.now = until
                         return self.now
-                    heapq.heappop(callbacks)
+                    pop(callbacks)
                     if hooks.active is not None:
                         hooks.active.on_sim_event(self, when)
                     self.now = when
                     cb[2]()
                     continue
-            if head is None:
+            if not queue:
                 break
-            if until is not None and head[0] > until:
-                if pad:
-                    self.now = until
+            if until is not None and queue[0][0] > until:
+                self.now = until
                 return self.now
-            if bucket is not None:
-                # Drain the whole bucket: pushes during a step are at
-                # now + dt >= now, so this bucket stays the queue head
-                # until it empties.  Only a callback ordered before the
-                # bucket's next entry can interleave — bail to the
-                # outer loop when one appears.
-                when = head[0]
-                while bucket:
-                    if callbacks and \
-                            (callbacks[0][0], callbacks[0][1]) < \
-                            (when, bucket[0][0]):
-                        break
-                    _seq, task, value, epoch = bucket.popleft()
-                    if hooks.active is not None:
-                        hooks.active.on_sim_event(self, when)
-                    if task.finished or epoch != task._epoch:
-                        # Stale wake-up (task interrupted since it was
-                        # scheduled): drop, don't advance the clock.
-                        continue
-                    self.now = when
-                    task.step(value)
-                continue
-            when, _seq, task, value, epoch = heapq.heappop(queue)
+            when, _seq, task, value, epoch = pop(queue)
             if hooks.active is not None:
                 hooks.active.on_sim_event(self, when)
             if task.finished or epoch != task._epoch:
@@ -561,22 +378,9 @@ class Simulator:
                 continue
             self.now = when
             task.step(value)
-        if until is not None and pad:
+        if until is not None:
             self.now = max(self.now, until)
         return self.now
-
-    def run_window(self, until: float) -> float:
-        """Execute every event scheduled at ``time <= until``.
-
-        The conservative-PDES stepping primitive
-        (:mod:`repro.sim.parallel`): identical to ``run(until)`` except
-        the clock is *not* padded to the window boundary, so driving a
-        simulator window-by-window and then draining the remainder with
-        ``run()`` finishes with exactly the clock an uninterrupted
-        ``run()`` would report.  Events land strictly inside windows —
-        an event at the boundary itself belongs to the closing window.
-        """
-        return self.run(until, pad=False)
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
         """Spawn ``gen`` and run until it completes; return its value."""
@@ -588,49 +392,28 @@ class Simulator:
             self._step()
         return waiter.result
 
-    def _queue_head(self) -> Optional[Tuple[float, int]]:
-        """(time, seq) of the next task wake-up, or None."""
-        if self._wheel is not None:
-            return self._wheel.peek_key()
-        if self._queue:
-            entry = self._queue[0]
-            return (entry[0], entry[1])
-        return None
-
     def _peek_time(self) -> Optional[float]:
-        head = self._queue_head()
+        queue = self._queue
         callbacks = self._callbacks
         if callbacks:
             cb_time = callbacks[0][0]
-            if head is None or cb_time < head[0]:
+            if not queue or cb_time < queue[0][0]:
                 return cb_time
-            return head[0]
-        return head[0] if head is not None else None
+            return queue[0][0]
+        return queue[0][0] if queue else None
 
     def _step(self) -> None:
-        wheel = self._wheel
+        queue = self._queue
         callbacks = self._callbacks
-        if callbacks:
-            head = self._queue_head()
-            if head is None or (callbacks[0][0], callbacks[0][1]) < head:
-                when, _seq, fn = heapq.heappop(callbacks)
-                if hooks.active is not None:
-                    hooks.active.on_sim_event(self, when)
-                self.now = when
-                fn()
-                return
-            # head was just validated: pop it without re-walking.
-            if wheel is not None:
-                when, _seq, task, value, epoch = wheel.pop_head()
-            else:
-                when, _seq, task, value, epoch = heapq.heappop(self._queue)
-        elif wheel is not None:
-            # Both callers (run, run_process) peek immediately before
-            # stepping, and peeking validates the wheel head; popping it
-            # directly avoids a second walk.
-            when, _seq, task, value, epoch = wheel.pop_head()
-        else:
-            when, _seq, task, value, epoch = heapq.heappop(self._queue)
+        if callbacks and (not queue or (callbacks[0][0], callbacks[0][1]) <
+                          (queue[0][0], queue[0][1])):
+            when, _seq, fn = heapq.heappop(callbacks)
+            if hooks.active is not None:
+                hooks.active.on_sim_event(self, when)
+            self.now = when
+            fn()
+            return
+        when, _seq, task, value, epoch = heapq.heappop(queue)
         if hooks.active is not None:
             hooks.active.on_sim_event(self, when)
         if task.finished or epoch != task._epoch:

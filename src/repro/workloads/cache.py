@@ -2,8 +2,8 @@
 
 Workload generation is deterministic (seeded RNG, pure inputs), so a
 (parameters -> events) cache only saves host time — simulated results
-cannot change.  Gated on :data:`repro.optflags.trace_cache`, like the
-access-trace memo in :mod:`repro.workloads.functions`.  Caches are
+cannot change.  The access-trace memo in
+:mod:`repro.workloads.functions` uses the same helper.  Caches are
 bounded LRU so sweep runners revisiting a few configurations hit while
 long parameter scans cannot grow without limit.
 """
@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Hashable, TypeVar
 
-from repro import optflags
-
 T = TypeVar("T")
 
 #: Entries kept per cache (a sweep rarely touches more configurations).
@@ -23,14 +21,11 @@ MAX_ENTRIES = 64
 
 def memoized(cache: "OrderedDict[Hashable, T]", key: Hashable,
              build: Callable[[], T], max_entries: int = MAX_ENTRIES) -> T:
-    """``build()`` once per ``key``; LRU-bounded to ``max_entries``,
-    flag-gated.
+    """``build()`` once per ``key``; LRU-bounded to ``max_entries``.
 
     Callers must treat the returned value as immutable (or copy before
     mutating) — it is shared with future calls.
     """
-    if not optflags.trace_cache:
-        return build()
     hit = cache.get(key)
     if hit is None:
         hit = build()

@@ -36,9 +36,7 @@ _FUNC_SPACE = 1 << 44
 
 #: (seed, rng path, function) -> base AccessTrace.  Traces are immutable
 #: in practice (callers only read them or derive jittered copies).
-#: Bounded LRU via :func:`repro.workloads.cache.memoized`, which also
-#: gates it on :data:`repro.optflags.trace_cache` — with the flag off,
-#: every call regenerates (the A/B contract for optimisation flags).
+#: Bounded LRU via :func:`repro.workloads.cache.memoized`.
 #: Per-invocation jittered traces are not memoised: their keys never
 #: repeat within a run, and a miss costs one RNG fork plus a sort-merge.
 _BASE_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)

@@ -192,14 +192,14 @@ def make_scaleout_uniform(seed: int = 0,
     The schedule is synthesised fully vectorised — bulk exponential
     gaps, a cumulative sum, and one bulk function draw — so building a
     100k+-invocation schedule costs milliseconds, not a Python loop per
-    arrival.  Used by the cluster-scale perf section and the sweep
+    arrival.  Used by the rack perf scenarios and the sweep
     runner (10 nodes x 100k invocations), where schedule construction
     would otherwise rival simulation time.
 
     ``quantum`` > 0 snaps arrival times to a grid, mimicking the
     coarse timestamp resolution of the public traces (Azure records
     per-minute counts); quantised schedules have many same-tick
-    arrivals, the case the calendar-queue scheduler batches.
+    arrivals, which the engine runs in FIFO order within each tick.
     """
     rng = SeededRNG(seed, "scaleout")
     mean_gap = 1.0 / rate

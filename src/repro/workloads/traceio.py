@@ -40,7 +40,7 @@ def load_counts_csv(path) -> CountMatrix:
 
     Parses are memoised by (path, mtime, size): sweep shards replaying
     the same trace at different seeds pay for one parse, not one per
-    configuration (:data:`repro.optflags.trace_cache`).
+    configuration.
     """
     path = Path(path)
     stat = path.stat()

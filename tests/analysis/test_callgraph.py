@@ -101,28 +101,6 @@ def test_nested_defs_fold_into_enclosing_function():
     assert "repro.nest.leaf" in edges_of(graph, "repro.nest.outer")
 
 
-def test_optflags_guard_is_recorded_on_call_sites():
-    graph = build_callgraph(modules_from({"src/repro/flagged.py": """
-        from repro import optflags
-
-        def fast():
-            return 1
-
-        def slow():
-            return 2
-
-        def pick():
-            if optflags.trace_cache:
-                return fast()
-            else:
-                return slow()
-    """}))
-    guards = {site.callee: site.guard
-              for site in graph.callees("repro.flagged.pick")}
-    assert guards["repro.flagged.fast"] == ("trace_cache", True)
-    assert guards["repro.flagged.slow"] == ("trace_cache", False)
-
-
 def test_reachability_and_prefix_roots():
     graph = build_callgraph(modules_from({
         "src/repro/simx/engine.py": """

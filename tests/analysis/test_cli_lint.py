@@ -24,7 +24,6 @@ def make_repo(tmp_path, source=BAD_SOURCE):
         [tool.simlint]
         baseline = "simlint-baseline.txt"
         paths = ["src"]
-        tests_path = "tests"
     """), encoding="utf-8")
     src = tmp_path / "src"
     src.mkdir()
@@ -109,7 +108,7 @@ def test_syntax_error_is_reported_not_crash(tmp_path):
 def test_list_rules(tmp_path):
     code, output = run(tmp_path, "--list-rules")
     assert code == 0
-    for rule_id in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005"):
+    for rule_id in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM006"):
         assert rule_id in output
 
 
@@ -119,7 +118,6 @@ def test_per_rule_path_exclusion(tmp_path):
         [tool.simlint]
         baseline = "simlint-baseline.txt"
         paths = ["src"]
-        tests_path = "tests"
 
         [tool.simlint.per_rule.SIM001]
         exclude = ["src/*"]
@@ -134,7 +132,6 @@ def test_disable_rule_via_config(tmp_path):
         [tool.simlint]
         baseline = "simlint-baseline.txt"
         paths = ["src"]
-        tests_path = "tests"
         disable = ["SIM001"]
     """), encoding="utf-8")
     code, _ = run(tmp_path)
@@ -159,7 +156,6 @@ def make_deep_repo(tmp_path, source=DEEP_SOURCE):
         [tool.simlint]
         baseline = "simlint-baseline.txt"
         paths = ["src"]
-        tests_path = "tests"
         deep_baseline = "simlint-deep-baseline.txt"
         deep_paths = ["src"]
         deep_roots = ["simx.Simulator.run"]

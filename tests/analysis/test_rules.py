@@ -20,7 +20,7 @@ def hits(rule_id, source, relpath="src/repro/sample.py"):
 def test_registry_is_complete_and_sorted():
     rules = all_rules()
     assert [r.rule_id for r in rules] == [
-        "SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
+        "SIM001", "SIM002", "SIM003", "SIM004",
         "SIM006", "SIM007", "SIM008", "SIM009", "SIM010"]
     for rule in rules:
         assert rule.title and rule.rationale
@@ -204,54 +204,4 @@ def test_sim004_good_api_calls():
     assert not hits("SIM004", """
         def release(node, pages):
             node.memory.charge_pages("vm-guest-anon", -pages)
-    """)
-
-
-# -- SIM005: optflags pairwise coverage ----------------------------------------
-
-
-def _optflags_module():
-    return parse("""
-        FLAGS = ("fastpath",)
-        fastpath = True
-    """, relpath="src/repro/optflags.py")
-
-
-def run_sim005(tmp_path, test_source):
-    tests = tmp_path / "tests"
-    tests.mkdir(exist_ok=True)
-    (tests / "test_cover.py").write_text(textwrap.dedent(test_source),
-                                         encoding="utf-8")
-    rule = REGISTRY["SIM005"]()
-    modules = {"src/repro/optflags.py": _optflags_module()}
-    return list(rule.check_project(tmp_path, modules, "tests"))
-
-
-def test_sim005_flags_uncovered_flag(tmp_path):
-    found = run_sim005(tmp_path, """
-        def test_unrelated():
-            assert True
-    """)
-    assert len(found) == 1
-    assert "fastpath" in found[0].message
-
-
-def test_sim005_satisfied_by_optimizations_disabled(tmp_path):
-    assert not run_sim005(tmp_path, """
-        from repro import optflags
-        def test_pairwise():
-            with optflags.optimizations_disabled():
-                pass
-    """)
-
-
-def test_sim005_satisfied_by_explicit_pair(tmp_path):
-    assert not run_sim005(tmp_path, """
-        from repro import optflags
-        def test_both_states():
-            optflags.fastpath = False
-            try:
-                pass
-            finally:
-                optflags.fastpath = True
     """)

@@ -128,9 +128,7 @@ class _FinishedTask:
 
 
 def test_event_monotonicity_detected():
-    from repro import optflags
-    with optflags.disabled("timer_wheel"):
-        sim = Simulator()     # reference scheduler: raw heap in sim._queue
+    sim = Simulator()     # wake-ups live in the raw heap sim._queue
 
     def proc():
         yield Delay(1.0)

@@ -11,6 +11,8 @@ test in a :mod:`repro.obs` observer — the golden-determinism CI slice
 runs with it on to prove observability never changes simulated results.
 """
 
+import signal
+
 import pytest
 
 from repro.analysis.sanitizer import maybe_sanitized
@@ -27,3 +29,23 @@ def _sanitize_if_requested():
 def _observe_if_requested():
     with maybe_observed() as observer:
         yield observer
+
+
+@pytest.fixture
+def hang_guard():
+    """Turn a blocked test into a failure after two minutes.
+
+    For tests of host-side parallelism, where the regression is a
+    parent waiting forever on a dead worker.  Forked workers do not
+    inherit the alarm.
+    """
+    def on_alarm(_signum, _frame):
+        raise TimeoutError("test blocked for 120 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -4,20 +4,24 @@
 invocation records and metrics registry as the serial reference for
 every worker count — including counts that do not divide the node
 count — and ineligible configurations (state-reading policies, an
-armed control plane, injected faults, the flag off) must take the
-serial path with the reasons recorded.
+armed control plane, injected faults, a single worker) must take the
+serial path with the reasons recorded.  ``jobs=1`` is the serial
+reference every sharded run is compared against.
 """
 
+import functools
 import json
+import os
 
 import pytest
 
-from repro import optflags
+import repro.serverless.parallel as par_mod
 from repro.control.config import ControlConfig
 from repro.control.plane import PARALLEL_UNSAFE_REASON
 from repro.mem.layout import GB, MB
 from repro.mem.pools import CXLPool
-from repro.serverless.parallel import ScriptedPolicy, run_cluster_parallel
+from repro.serverless.parallel import (ScriptedPolicy, resolve_jobs,
+                                       run_cluster_parallel)
 from repro.serverless.partition import (FAULTS_UNSAFE_REASON, ClusterSpec,
                                         PoolSpec, SerialFallback,
                                         node_groups_for, plan_shards)
@@ -94,29 +98,35 @@ def test_parallel_report_structure():
     workload = _scaleout()
     spec = ClusterSpec(n_nodes=5, seed=7)
     par = run_cluster_parallel(spec, workload, jobs=2)
-    report = par.report.to_dict()
-    assert report["mode"] == "parallel"
-    assert report["n_shards"] == 2
-    assert report["n_windows"] > 0
-    assert report["lookahead_s"] > 0
-    assert len(report["shard_digests"]) == 2
-    # Same plan in every shard, different shard ids: digests are equal
-    # iff the shards crossed the same barriers (the window structure),
-    # which they must.
-    assert len(set(report["shard_digests"])) == 1
+    assert par.report.to_dict() == {"mode": "parallel", "jobs": 2,
+                                    "n_shards": 2, "reasons": []}
 
 
 # --------------------------------------------------------------- fallbacks --
 
-def test_optflag_off_takes_serial_path():
-    workload = _scaleout()
-    spec = ClusterSpec(n_nodes=5, seed=7)
+def test_killed_worker_falls_back_to_serial(monkeypatch, hang_guard):
+    """A shard worker that dies cannot hang the run: the pool breaks,
+    the run re-executes serially and the report says why."""
+    original = par_mod._shard_worker
+
+    # functools.wraps keeps the qualified name, so the pool pickles the
+    # wrapper by reference and the forked worker resolves it.
+    @functools.wraps(original)
+    def dying_worker(*args):
+        if args[2] == 1:          # the shard index
+            os._exit(9)
+        return original(*args)
+
+    monkeypatch.setattr(par_mod, "_shard_worker", dying_worker)
+    workload = _scaleout(duration=10.0)
+    spec = ClusterSpec(n_nodes=2, seed=7)
+    out = run_cluster_parallel(spec, workload, jobs=2)
+    assert out.report.mode == "fallback"
+    assert len(out.report.reasons) == 1
+    assert out.report.reasons[0].startswith("worker died: ")
+    monkeypatch.undo()
     ref = run_cluster_parallel(spec, workload, jobs=1)
-    with optflags.disabled("parallel_sim"):
-        off = run_cluster_parallel(spec, workload, jobs=4)
-    assert off.report.mode == "serial"
-    assert off.report.reasons == ["optflags.parallel_sim disabled"]
-    assert _signature(off) == _signature(ref)
+    assert _signature(out) == _signature(ref)
 
 
 def test_state_reading_policy_falls_back_bit_identically():
@@ -189,6 +199,16 @@ def test_owned_events_partition_the_workload():
     # Round-robin static assignment: event i -> node i mod N.
     assert plan.assignment == tuple(i % 5
                                     for i in range(len(workload.events)))
+
+
+def test_resolve_jobs_clamps_to_shards():
+    assert resolve_jobs(4, 2) == 2
+    assert resolve_jobs(1, 8) == 1
+    assert resolve_jobs(3, 3) == 3
+    assert resolve_jobs(5, 0) == 1
+    # 0 = size to the machine, still capped by shards and floored at 1.
+    assert 1 <= resolve_jobs(0, 64) <= 64
+    assert resolve_jobs(0, 1) == 1
 
 
 def test_jobs_clamped_to_node_count():

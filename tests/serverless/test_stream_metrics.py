@@ -1,7 +1,7 @@
 """Streaming metrics: LogHistogram and the O(bins) recorder paths.
 
-The ``stream_metrics`` optflag folds every invocation into fixed-bin
-log-scale histograms; below :data:`EXACT_SAMPLE_CAP` samples the
+The latency recorder folds every invocation into fixed-bin log-scale
+histograms; below :data:`EXACT_SAMPLE_CAP` samples the
 histogram retains the raw values and answers quantiles bit-exactly, so
 every paper experiment (small-sample) is unaffected while trace-scale
 runs get O(bins) memory and queries.
@@ -12,10 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from repro import optflags
 from repro.serverless.metrics import (BINS_PER_DECADE, EXACT_SAMPLE_CAP,
                                       InvocationResult, LatencyRecorder,
-                                      LogHistogram)
+                                      LogHistogram, percentile)
 from repro.sim.rng import SeededRNG
 
 
@@ -129,13 +128,13 @@ def test_streaming_only_recorder_matches_exact_aggregates():
     for r in results:
         exact.record(r)
         stream.record(r)
-    assert stream.streaming
     assert not stream.results  # nothing retained
     for fn in (None, "IR", "IFR"):
+        e2e = [r.e2e for r in exact.measured(fn)]
         for p in (50, 99):
             assert stream.e2e_percentile(p, fn) == pytest.approx(
-                exact.e2e_percentile(p, fn))
-        assert stream.mean_e2e(fn) == pytest.approx(exact.mean_e2e(fn))
+                percentile(e2e, p))
+        assert stream.mean_e2e(fn) == pytest.approx(float(np.mean(e2e)))
     assert stream.count() == exact.count() == 300
     assert stream.start_kind_counts() == exact.start_kind_counts()
     assert stream.functions() == ["IFR", "IR"]
@@ -185,25 +184,16 @@ def test_merge_from_streaming_requires_matching_warmup():
         dst.merge_from(src)
 
 
-def test_merge_streaming_into_exact_only_rejected():
-    src = LatencyRecorder(keep_results=False)
-    src.record(_result())
-    with optflags.disabled("stream_metrics"):
-        dst = LatencyRecorder(keep_results=True)
-    assert not dst.streaming
-    with pytest.raises(RuntimeError):
-        dst.merge_from(src)
-
-
-def test_stream_flag_does_not_change_retained_results():
+def test_retained_results_answer_like_percentile_over_results():
+    """Below the exact-sample cap, recorder queries equal the
+    module-level percentile over the retained results, bit for bit."""
     results = [_result(arrival=float(i), e2e=0.1 + 0.01 * i)
                for i in range(40)]
-    on = LatencyRecorder()
-    with optflags.disabled("stream_metrics"):
-        off = LatencyRecorder()
+    rec = LatencyRecorder()
     for r in results:
-        on.record(r)
-        off.record(r)
-    assert on.results == off.results
-    assert on.e2e_percentile(99) == pytest.approx(off.e2e_percentile(99))
-    assert on.mean_e2e() == pytest.approx(off.mean_e2e())
+        rec.record(r)
+    assert rec.results == results
+    e2e = [r.e2e for r in results]
+    for p in (0, 50, 99, 100):
+        assert rec.e2e_percentile(p) == percentile(e2e, p)
+    assert rec.mean_e2e() == pytest.approx(float(np.mean(e2e)))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.engine import Delay, Interrupt, SimulationError, Simulator
+from repro.sim.rng import SeededRNG
 
 
 def test_delay_advances_clock():
@@ -334,3 +335,151 @@ def test_run_process_deadlock_detected():
 
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_process(stuck())
+
+
+# -- scheduler order: exactly (time, seq) ----------------------------------
+
+
+def _random_schedule(seed, n_events, time_values=16):
+    """(time, payload) spawns with many same-tick collisions."""
+    rng = SeededRNG(seed, "calq")
+    times = [round(rng.uniform(0.0, 10.0), 1) for _ in range(time_values)]
+    return [(times[rng.randint(0, time_values)], i) for i in range(n_events)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_same_tick_wakeups_run_in_fifo_order(seed):
+    """Processes start in (time, spawn order): FIFO within a tick."""
+    schedule = _random_schedule(seed, n_events=500)
+    sim = Simulator()
+    started = []
+
+    def body(i):
+        started.append((sim.now, i))
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    for t, i in schedule:
+        sim.spawn_at(t, body(i))
+    sim.run()
+    assert started == sorted(schedule)   # stable: ties keep spawn order
+
+
+def _randomized_workload(sim, trace, seed, n_procs=40):
+    """Spawn sleeper processes, a third of which get interrupted."""
+    rng = SeededRNG(seed, "procs")
+
+    def sleeper(pid, naps):
+        for nap in naps:
+            try:
+                yield Delay(nap)
+            except Interrupt:
+                trace.append((sim.now, pid, "interrupted"))
+                return
+            trace.append((sim.now, pid, "woke"))
+
+    waiters = []
+    for pid in range(n_procs):
+        naps = [round(rng.uniform(0.0, 3.0), 1)
+                for _ in range(rng.randint(1, 5))]
+        waiters.append(sim.spawn(sleeper(pid, naps), name=f"p{pid}"))
+
+    def saboteur():
+        yield Delay(2.0)
+        for pid in range(0, n_procs, 3):
+            waiters[pid].interrupt("chaos")
+        trace.append((sim.now, -1, "sabotage"))
+
+    sim.spawn(saboteur(), name="saboteur")
+    return waiters
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_interrupted_sleepers_drop_their_stale_wakeups(seed):
+    """An interrupt invalidates the pending Delay wake-up: the sleeper
+    gets exactly one Interrupt and never the stale wake."""
+    trace = []
+    sim = Simulator()
+    waiters = _randomized_workload(sim, trace, seed)
+    sim.run()
+    assert [e[0] for e in trace] == sorted(e[0] for e in trace)
+    interrupted = {pid for _t, pid, kind in trace if kind == "interrupted"}
+    assert interrupted, "no cancellations exercised"
+    for pid in sorted(interrupted):
+        events = [(t, kind) for t, p, kind in trace if p == pid]
+        assert events[-1] == (2.0, "interrupted")
+        assert [k for _t, k in events].count("interrupted") == 1
+    assert all(w.done for w in waiters)
+
+
+def test_callbacks_and_tasks_share_one_sequence_order():
+    """At one instant, callbacks and task wake-ups run in the order
+    they were scheduled."""
+    sim = Simulator()
+    order = []
+
+    def body(tag):
+        order.append(tag)
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    sim.call_at(1.0, lambda: order.append("cb0"))
+    sim.spawn_at(1.0, body("task1"))
+    sim.call_at(1.0, lambda: order.append("cb2"))
+    sim.spawn_at(1.0, body("task3"))
+    sim.call_at(0.5, lambda: order.append("early"))
+    sim.run()
+    assert order == ["early", "cb0", "task1", "cb2", "task3"]
+
+    # run_process steps one event at a time; same order.
+    sim = Simulator()
+    order.clear()
+    sim.call_at(1.0, lambda: order.append("cb0"))
+    task = sim.spawn_at(1.0, body("task1"))
+
+    def main():
+        yield task
+
+    sim.run_process(main())
+    assert order == ["cb0", "task1"]
+
+
+def test_spawn_at_many_matches_individual_spawn_at():
+    """Batch spawning assigns the same sequence order as a spawn loop."""
+    def build(batch):
+        trace = []
+
+        def body(i):
+            trace.append((round(sim.now, 6), i))
+            yield Delay(0.1)
+            trace.append((round(sim.now, 6), i, "done"))
+
+        sim = Simulator()
+        rng = SeededRNG(13, "batch")
+        schedule = [(round(rng.uniform(0.0, 4.0), 1), i)
+                    for i in range(200)]
+        schedule.sort()
+        if batch:
+            sim.spawn_at_many((t, body(i)) for t, i in schedule)
+        else:
+            for t, i in schedule:
+                sim.spawn_at(t, body(i))
+        sim.run()
+        return trace
+
+    assert build(batch=True) == build(batch=False)
+
+
+def test_spawn_at_many_rejects_past_times():
+    def noop():
+        return
+        yield
+
+    def nap():
+        yield Delay(1.0)
+
+    sim = Simulator()
+    sim.spawn_at_many([(0.0, noop())])  # now == 0.0 is fine
+    sim.run_process(nap())              # advances now to 1.0
+    with pytest.raises(SimulationError):
+        sim.spawn_at_many([(0.5, noop())])

@@ -1,11 +1,9 @@
 """Regression tests for the base-trace memo (found by `lint --deep`).
 
-The original ``_BASE_TRACE_CACHE`` was a plain unbounded dict that
-memoised unconditionally — it ignored :data:`repro.optflags.trace_cache`
-(the A/B contract every optimisation flag must honour) and grew without
-limit across long parameter sweeps.  It now routes through
-:func:`repro.workloads.cache.memoized`: flag-gated, bounded LRU, and
-certified shard-safe (the value is a pure function of the key).  Its
+The original ``_BASE_TRACE_CACHE`` was a plain unbounded dict that grew
+without limit across long parameter sweeps.  It now routes through
+:func:`repro.workloads.cache.memoized`: bounded LRU, and certified
+shard-safe (the value is a pure function of the key).  Its
 bound covers a whole rack, so a round-robin run over every (node,
 function) pair builds each base trace once.
 """
@@ -14,7 +12,6 @@ from collections import Counter
 
 import numpy as np
 
-from repro import optflags
 from repro.mem.layout import MB
 from repro.mem.trace import AccessTrace
 from repro.sim.rng import SeededRNG
@@ -32,22 +29,13 @@ def traces_equal(a, b):
             and np.array_equal(a.write_pages, b.write_pages))
 
 
-def test_base_trace_cache_respects_the_flag():
-    f = function_by_name("DH")
-    with optflags.disabled("trace_cache"):
-        f.base_trace(SeededRNG(7))
-        assert len(fmod._BASE_TRACE_CACHE) == 0  # flag off -> no memo
-    f.base_trace(SeededRNG(7))
-    assert len(fmod._BASE_TRACE_CACHE) == 1
-
-
 def test_base_trace_identical_with_and_without_cache():
     f = function_by_name("IR")
     cached_cold = f.base_trace(SeededRNG(11))
     cached_warm = f.base_trace(SeededRNG(11))
     assert cached_warm is cached_cold  # memo hit
-    with optflags.disabled("trace_cache"):
-        uncached = f.base_trace(SeededRNG(11))
+    fmod._BASE_TRACE_CACHE.clear()
+    uncached = f.base_trace(SeededRNG(11))
     assert uncached is not cached_cold
     assert traces_equal(uncached, cached_cold)
 
