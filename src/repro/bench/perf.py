@@ -5,13 +5,13 @@ the virtual-clock latencies the paper reports.  This one measures the
 *host* cost of producing those numbers, so regressions in the
 reproduction's own hot paths are visible and tracked:
 
-1. **Attach latency vs image size** — wall-clock cost of
-   ``clone_metadata`` + ``adopt_vma`` for every VMA of a template on the
-   copy-on-write clone path (:mod:`repro.mem.cow`).  The
-   fixed-VMA-count sweep varies pages only: attach time must stay flat
-   as pages grow, mirroring TrEnv's O(metadata) ``mmt_attach`` (§5.1,
-   Figure 11).  Real function layouts (DH, IR) are reported as well;
-   those scale VMA count with image size.
+1. **Attach latency vs image size** — wall-clock cost of the shipped
+   ``MMTemplateRegistry.mmt_attach`` of a template to a fresh address
+   space, which shares the template's PTE table copy-on-write
+   (:mod:`repro.mem.cow`).  The fixed-VMA-count sweep varies pages only:
+   attach time must stay flat as pages grow, mirroring TrEnv's
+   O(metadata) ``mmt_attach`` (§5.1, Figure 11).  Real function layouts
+   (DH, IR) are reported as well; those scale VMA count with image size.
 2. **Cluster throughput** — invocations simulated per host-second for a
    fig17-style W2 diurnal run.
 3. **Parallel scaling** — a 10-node rack driving a 100k-invocation
@@ -64,15 +64,15 @@ def _build_synthetic_template(total_pages: int,
     store = DedupStore(CXLPool(64 * GB))
     template = registry.mmt_create(f"synthetic-{total_pages}")
     per = total_pages // n_vmas
-    cursor = 0
-    for i in range(n_vmas):
-        npages = per if i < n_vmas - 1 else total_pages - per * (n_vmas - 1)
-        name = f"vma-{i}"
-        registry.mmt_add_map(template, name, npages, PROT_READ | PROT_WRITE)
-        content = np.arange(cursor, cursor + npages, dtype=np.int64)
-        registry.mmt_setup_pt(template, name, store.store_image(content))
-        template.find_vma(name).content[:] = content
-        cursor += npages
+    vmas = [registry.mmt_add_map(
+        template, f"vma-{i}",
+        per if i < n_vmas - 1 else total_pages - per * (n_vmas - 1),
+        PROT_READ | PROT_WRITE) for i in range(n_vmas)]
+    for vma in vmas:
+        content = np.arange(vma.first, vma.first + vma.npages,
+                            dtype=np.int64)
+        registry.mmt_setup_pt(template, vma.name, store.store_image(content))
+        vma.content[:] = content
     return template
 
 
@@ -85,13 +85,14 @@ def _build_function_template(fn_name: str) -> MemoryTemplate:
 
 
 def _time_attach(template: MemoryTemplate, iters: int) -> float:
-    """Best-of-N wall-clock seconds for one full template attach."""
+    """Best-of-N wall-clock seconds for one full template attach: a fresh
+    address space plus ``mmt_attach`` driven to completion."""
+    registry = MMTemplateRegistry(Simulator())
     best = float("inf")
     for _ in range(iters):
         t0 = time.perf_counter()
         space = AddressSpace("bench")
-        for vma in template.vmas:
-            space.adopt_vma(vma.clone_metadata())
+        registry.sim.run_process(registry.mmt_attach(template, space))
         best = min(best, time.perf_counter() - t0)
     return best
 

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 import numpy as np
 
 from repro.analysis import hooks
 from repro.criu.images import SnapshotImage
 from repro.obs import hooks as obs_hooks
-from repro.mem.address_space import (MAP_PRIVATE, AddressSpace, VMA)
+from repro.mem.address_space import (MAP_PRIVATE, AddressSpace, PageTable,
+                                     VMA)
 from repro.mem.pools import DedupStore, MemoryPool, PoolBlock
 from repro.sim.engine import Delay, Simulator
 from repro.sim.latency import LatencyModel
@@ -40,19 +41,21 @@ class MMTemplateError(RuntimeError):
 _ATTACH_PER_PAGE = 1.2e-9
 
 
-class MemoryTemplate:
-    """One mm-template: layout metadata plus a pre-built page table."""
+class MemoryTemplate(PageTable):
+    """One mm-template: layout metadata plus a pre-built page table.
+
+    The page table is one flat PTE table over every page of the layout
+    (:class:`~repro.mem.address_space.PageTable`).  The first attach seals
+    it: its arrays freeze, and every attached space shares them
+    copy-on-write.
+    """
 
     def __init__(self, template_id: int, key: str):
+        super().__init__()
         self.template_id = template_id
         self.key = key
-        self.vmas: List[VMA] = []
         self.attach_count = 0
         self.sealed = False
-
-    @property
-    def total_pages(self) -> int:
-        return sum(v.npages for v in self.vmas)
 
     @property
     def metadata_bytes(self) -> int:
@@ -107,10 +110,7 @@ class MMTemplateRegistry:
         self._check_root(as_root)
         if template.sealed:
             raise MMTemplateError("template already sealed by setup_pt")
-        start = template.vmas[-1].end + 4096 if template.vmas else 0x400000
-        vma = VMA(name, start, npages, prot, flags)
-        template.vmas.append(vma)
-        return vma
+        return template.add_vma(name, npages, prot, flags)
 
     def mmt_setup_pt(self, template: MemoryTemplate, vma_name: str,
                      block: PoolBlock, as_root: bool = True) -> None:
@@ -121,17 +121,14 @@ class MMTemplateRegistry:
         invalid with the remote address recorded for the fault path.
         """
         self._check_root(as_root)
+        if template.sealed:
+            raise MMTemplateError("template already sealed by an attach")
         vma = template.find_vma(vma_name)
         if block.npages != vma.npages:
             raise MMTemplateError(
                 f"block covers {block.npages} pages, VMA {vma_name!r} has "
                 f"{vma.npages}")
-        from repro.mem.address_space import PTE_REMOTE_INVALID, PTE_REMOTE_RO
-        valid = block.pool.valid_mask(block.offsets)
-        vma.state[:] = np.where(valid, PTE_REMOTE_RO,
-                                PTE_REMOTE_INVALID).astype(np.uint8)
-        vma.offsets[:] = block.offsets
-        vma.pool = block.pool
+        template._bind(vma, block, block.pool.valid_mask(block.offsets))
         if hooks.active is not None:
             hooks.active.on_pte_bound(vma)
 
@@ -144,11 +141,12 @@ class MMTemplateRegistry:
         400 KB of metadata for a 70 MB image copies in well under a
         millisecond (§9.4).
 
-        Host-side the clone is O(1) per VMA: ``clone_metadata`` shares
-        the template's frozen arrays copy-on-write (:mod:`repro.mem.cow`)
-        and the attached instance materialises only the chunks its
-        invocations write.  The simulated cost formula above is
-        deliberately unchanged by that flag.
+        Host-side the attach is O(1) whatever the VMA count or size:
+        :meth:`AddressSpace.attach` shares the template's frozen PTE
+        table copy-on-write (:mod:`repro.mem.cow`) and its layout
+        vectors, and the attached instance materialises only the chunks
+        its invocations write.  The simulated cost formula above keeps
+        its per-VMA term: the kernel still walks every VMA descriptor.
         """
         self._check_root(as_root)
         t0 = self.sim.now
@@ -157,8 +155,7 @@ class MMTemplateRegistry:
                 + lat.mmt_attach_per_vma * len(template.vmas)
                 + _ATTACH_PER_PAGE * template.total_pages)
         yield Delay(cost)
-        for vma in template.vmas:
-            space.adopt_vma(vma.clone_metadata())
+        space.attach(template)
         template.attach_count += 1
         template.sealed = True
         act = obs_hooks.active
@@ -190,10 +187,13 @@ def build_template_for_function(registry: MMTemplateRegistry,
     ready-to-attach template.
     """
     template = registry.mmt_create(image.function)
+    slices = image.vma_content_slices()
+    # The whole layout first, so the PTE table is allocated once.
+    vmas = [registry.mmt_add_map(template, vma_desc.name, vma_desc.npages,
+                                 vma_desc.prot, vma_desc.flags)
+            for vma_desc, _content in slices]
     cursor = 0
-    for vma_desc, content in image.vma_content_slices():
-        registry.mmt_add_map(template, vma_desc.name, vma_desc.npages,
-                             vma_desc.prot, vma_desc.flags)
+    for vma, (vma_desc, content) in zip(vmas, slices):
         vma_mask = None
         if hot_mask is not None:
             vma_mask = np.asarray(hot_mask, dtype=bool)[
@@ -203,5 +203,5 @@ def build_template_for_function(registry: MMTemplateRegistry,
         cursor += vma_desc.npages
         # Content ids travel with the template so re-snapshotting and
         # accounting remain possible.
-        template.find_vma(vma_desc.name).content[:] = content
+        vma.content[:] = content
     return template

@@ -51,9 +51,9 @@ class SnapshotImage:
         self.content_ids = np.asarray(content_ids, dtype=np.int64)
         self.n_threads = n_threads
         self.n_fds = n_fds
-        # Frozen per-VMA content-id bases, built lazily on first restore:
-        # every address space built from this image shares them CoW.
-        self._content_bases = None
+        # Frozen content-id base, built lazily on first restore: every
+        # address space built from this image shares it CoW.
+        self._content_base = None
 
     @property
     def total_pages(self) -> int:
@@ -85,20 +85,17 @@ class SnapshotImage:
                             on_local_delta=None) -> AddressSpace:
         """Instantiate the layout (PTEs all empty; caller populates).
 
-        Content ids are shared with the image copy-on-write (one frozen
-        base per VMA, reused by every restore of this image) so repeated
-        restores copy no per-page arrays.
+        The content-id table is shared with the image copy-on-write (one
+        frozen base, reused by every restore of this image) so repeated
+        restores copy no per-page content arrays.
         """
         space = AddressSpace(name=name or self.function,
                              on_local_delta=on_local_delta)
-        if self._content_bases is None:
-            self._content_bases = [
-                TemplateBase(content.copy())
-                for _vma, content in self.vma_content_slices()]
-        for (vma, _content), base in zip(self.vma_content_slices(),
-                                         self._content_bases):
-            new = space.add_vma(vma.name, vma.npages, vma.prot, vma.flags)
-            new.content = CowPageArray(base)
+        for vma in self.vmas:
+            space.add_vma(vma.name, vma.npages, vma.prot, vma.flags)
+        if self._content_base is None:
+            self._content_base = TemplateBase(self.content_ids.copy())
+        space.content = CowPageArray(self._content_base)
         return space
 
     @classmethod

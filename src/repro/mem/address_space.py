@@ -1,8 +1,11 @@
-"""Address spaces with per-page PTE states and copy-on-write.
+"""Address spaces with one flat PTE table and copy-on-write attach.
 
-This is the reproduction's analogue of ``mm_struct``: a list of VMAs, each
-holding vectorised per-page state.  The four states model exactly the
-cases TrEnv's kernel patch distinguishes (§5.1):
+This is the reproduction's analogue of ``mm_struct``: an ordered VMA
+layout over one page table.  The table is three flat arrays over every
+page of the space — PTE ``state``, remote ``offsets`` and page
+``content`` ids — and a :class:`VMA` is layout metadata only (name,
+first page, page count, protection, flags, pool).  The four states model
+exactly the cases TrEnv's kernel patch distinguishes (§5.1):
 
 * ``PTE_NONE`` — untouched demand-zero page (reads hit the shared zero
   page and cost a minor fault but no memory; first write allocates).
@@ -13,12 +16,13 @@ cases TrEnv's kernel patch distinguishes (§5.1):
   RDMA/NAS path: first touch takes a major fault and a 4 KiB fetch which
   materialises a private local copy).
 
-State arrays are numpy vectors so multi-hundred-MB images (IR is 855 MB —
-219k pages) stay cheap to manipulate.  Template attach shares those
-vectors copy-on-write (:mod:`repro.mem.cow`): a clone carries chunked
-CoW views of the template arrays and materialises only the chunks an
-invocation actually writes, so attach host cost is O(metadata) exactly
-as the paper claims for ``mmt_attach``.
+Flat numpy arrays keep multi-hundred-MB images (IR is 855 MB — 219k pages
+in 519 VMAs) cheap to manipulate, and let one fault pass gather, count
+and scatter the whole access list at once instead of once per VMA.
+Attach (:meth:`AddressSpace.attach`, the mm-template's ``mmt_attach``)
+shares the source table copy-on-write (:mod:`repro.mem.cow`) and its
+:class:`Layout` vectors, so its host cost is a few objects whatever the
+image size or VMA count, as the paper claims for ``mmt_attach``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis import hooks
-from repro.mem.cow import CowPageArray, TemplateBase, count_equal
+from repro.mem.cow import (CowPageArray, CowWindow, TemplateBase,
+                           count_equal)
 from repro.mem.layout import PAGE_SIZE
 from repro.mem.pools import MemoryPool, PoolBlock
 
@@ -48,29 +53,29 @@ MAP_SHARED = 0x01
 
 
 class VMA:
-    """A virtual memory area: contiguous pages with uniform protection."""
+    """A virtual memory area: layout metadata for contiguous pages with
+    uniform protection.
 
-    __slots__ = ("name", "start", "prot", "flags", "state", "offsets",
-                 "content", "pool", "_bases")
+    Its PTEs are pages ``[first, first + npages)`` of the owning
+    :class:`PageTable`; ``state``/``offsets``/``content`` are views of
+    that range (writes go through to the table).
+    """
 
-    def __init__(self, name: str, start: int, npages: int, prot: int,
-                 flags: int = MAP_PRIVATE):
+    __slots__ = ("name", "start", "first", "npages", "prot", "flags",
+                 "_pool", "_table")
+
+    def __init__(self, table: "PageTable", name: str, start: int,
+                 first: int, npages: int, prot: int,
+                 flags: int = MAP_PRIVATE,
+                 pool: Optional[MemoryPool] = None):
+        self._table = table
         self.name = name
         self.start = start
+        self.first = first
+        self.npages = npages
         self.prot = prot
         self.flags = flags
-        self.state = np.zeros(npages, dtype=np.uint8)
-        # Remote page offset per page (valid where state is REMOTE_*).
-        self.offsets = np.full(npages, -1, dtype=np.int64)
-        # Page content ids (for snapshotting/dedup); -1 = undefined.
-        self.content = np.full(npages, -1, dtype=np.int64)
-        self.pool: Optional[MemoryPool] = None
-        # Frozen template bases, built lazily on the first CoW clone.
-        self._bases: Optional[Tuple[TemplateBase, ...]] = None
-
-    @property
-    def npages(self) -> int:
-        return len(self.state)
+        self._pool = pool
 
     @property
     def end(self) -> int:
@@ -80,53 +85,260 @@ class VMA:
     def writable(self) -> bool:
         return bool(self.prot & PROT_WRITE)
 
-    def grow(self, npages: int) -> None:
-        """Extend the VMA (heap ``brk``); new pages are demand-zero local.
+    @property
+    def pool(self) -> Optional[MemoryPool]:
+        return self._pool
+
+    @pool.setter
+    def pool(self, pool: Optional[MemoryPool]) -> None:
+        self._pool = pool
+        self._table._layout_changed()
+
+    @property
+    def state(self):
+        return self._table._window(self._table.state, self)
+
+    @property
+    def offsets(self):
+        return self._table._window(self._table.offsets, self)
+
+    @property
+    def content(self):
+        return self._table._window(self._table.content, self)
+
+
+class Layout:
+    """An immutable snapshot of a table's VMA layout plus the per-VMA
+    vectors the fault path reads; clones of one table share it."""
+
+    __slots__ = ("specs", "cum", "writable", "pool_names",
+                 "byte_addressable", "direct_pool")
+
+    def __init__(self, vmas: List[VMA]):
+        #: (name, start, first, npages, prot, flags, pool) per VMA.
+        self.specs = tuple((v.name, v.start, v.first, v.npages, v.prot,
+                            v.flags, v.pool) for v in vmas)
+        sizes = np.array([v.npages for v in vmas], dtype=np.int64)
+        self.cum = np.concatenate([[0], np.cumsum(sizes)])
+        self.writable = np.array([v.writable for v in vmas], dtype=bool)
+        self.pool_names = [v.pool.name if v.pool else "unknown"
+                           for v in vmas]
+        self.byte_addressable = np.array(
+            [v.pool is not None and v.pool.byte_addressable for v in vmas],
+            dtype=bool)
+        #: The first byte-addressable pool in address order (the one that
+        #: serves the space's direct loads), or None.
+        self.direct_pool: Optional[MemoryPool] = next(
+            (v.pool for v in vmas
+             if v.pool is not None and v.pool.byte_addressable), None)
+
+
+class _TableArray:
+    """One of a :class:`PageTable`'s arrays (stored as ``_<name>``); any
+    access first appends the pages ``add_vma`` deferred."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return self
+        if table._unbuilt:
+            table._build()
+        return getattr(table, self.slot)
+
+    def __set__(self, table, arr) -> None:
+        if table._unbuilt:
+            table._build()
+        setattr(table, self.slot, arr)
+
+
+class PageTable:
+    """An ordered VMA layout over one flat PTE table.
+
+    ``state``, ``offsets`` and ``content`` cover every page of the table
+    in layout order; each is a plain ndarray, or a :class:`CowPageArray`
+    once the table was attached from another.  :meth:`_share` freezes a
+    table so others can attach it copy-on-write.
+    """
+
+    def __init__(self) -> None:
+        self._vmas: Optional[List[VMA]] = []
+        self._state = np.zeros(0, dtype=np.uint8)
+        self._offsets = np.zeros(0, dtype=np.int64)
+        self._content = np.zeros(0, dtype=np.int64)
+        # Pages added by add_vma but not yet in the arrays: appending is
+        # deferred to the next array access, so building an n-VMA layout
+        # copies the table once, not n times.
+        self._unbuilt = 0
+        self._layout: Optional[Layout] = None
+        # What _share handed out: (layout, frozen bases, local runs).
+        self._shared: Optional[tuple] = None
+
+    #: PTE state per page (``PTE_*``).
+    state = _TableArray()
+    #: Remote page offset per page (valid where state is REMOTE_*).
+    offsets = _TableArray()
+    #: Page content ids (for snapshotting/dedup); -1 = undefined.
+    content = _TableArray()
+
+    def _build(self) -> None:
+        """Append the deferred pages: empty PTEs, no remote offset, no
+        content."""
+        n = self._unbuilt
+        self._unbuilt = 0
+        self._state = np.concatenate(
+            [np.asarray(self._state), np.full(n, PTE_NONE, dtype=np.uint8)])
+        self._offsets = np.concatenate(
+            [np.asarray(self._offsets), np.full(n, -1, dtype=np.int64)])
+        self._content = np.concatenate(
+            [np.asarray(self._content), np.full(n, -1, dtype=np.int64)])
+
+    # -- layout --------------------------------------------------------------------
+
+    @property
+    def vmas(self) -> List[VMA]:
+        """This table's VMAs in address order.
+
+        An attached table shares its source's :class:`Layout`; its own
+        VMA objects are built on first use (the fault path never needs
+        them).
+        """
+        if self._vmas is None:
+            self._vmas = [VMA(self, *spec) for spec in self._layout.specs]
+        return self._vmas
+
+    @property
+    def layout(self) -> Layout:
+        if self._layout is None:
+            self._layout = Layout(self.vmas)
+        return self._layout
+
+    def _layout_changed(self) -> None:
+        self.vmas   # an attached table takes its own VMAs first
+        self._layout = None
+        self._shared = None
+
+    @property
+    def total_pages(self) -> int:
+        return len(self._state) + self._unbuilt
+
+    def flatten(self) -> np.ndarray:
+        """Cumulative page offsets per VMA for flat-index addressing."""
+        return self.layout.cum
+
+    def add_vma(self, name: str, npages: int, prot: int = PROT_READ | PROT_WRITE,
+                flags: int = MAP_PRIVATE, start: Optional[int] = None) -> VMA:
+        """Append a VMA of ``npages`` empty PTEs.
+
+        The table grows on its next access, so a layout built by
+        consecutive calls is allocated once: add every VMA before filling
+        any of them.
+        """
+        if npages <= 0:
+            raise ValueError(f"VMA must have at least one page: {npages}")
+        vmas = self.vmas
+        if start is None:
+            start = vmas[-1].end + PAGE_SIZE if vmas else 0x400000
+        vma = VMA(self, name, start, self.total_pages, npages, prot, flags)
+        self._unbuilt += npages
+        vmas.append(vma)
+        self._layout_changed()
+        return vma
+
+    def find_vma(self, name: str) -> VMA:
+        for vma in self.vmas:
+            if vma.name == name:
+                return vma
+        raise KeyError(f"no VMA named {name!r} in {self.name}")
+
+    def grow_vma(self, name: str, npages: int) -> None:
+        """Extend a VMA (heap ``brk``); new pages are demand-zero local.
 
         §5.1 / Figure 9(b): after restoring a heap onto CXL, subsequent
         growth defaults to local allocation, never spilling into adjacent
         shared CXL ranges.
         """
+        vma = self.find_vma(name)
         if npages <= 0:
             return
-        self.state = np.concatenate(
-            [np.asarray(self.state), np.zeros(npages, dtype=np.uint8)])
-        self.offsets = np.concatenate(
-            [np.asarray(self.offsets), np.full(npages, -1, dtype=np.int64)])
-        self.content = np.concatenate(
-            [np.asarray(self.content), np.full(npages, -1, dtype=np.int64)])
-        self._bases = None
+        at = vma.first + vma.npages
+        fresh = (np.full(npages, PTE_NONE, dtype=np.uint8),
+                 np.full(npages, -1, dtype=np.int64),
+                 np.full(npages, -1, dtype=np.int64))
+        self.state, self.offsets, self.content = (
+            np.concatenate([arr[:at], new, arr[at:]])
+            for arr, new in zip((np.asarray(self.state),
+                                 np.asarray(self.offsets),
+                                 np.asarray(self.content)), fresh))
+        vma.npages += npages
+        for later in self.vmas[self.vmas.index(vma) + 1:]:
+            later.first += npages
+        self._layout_changed()
 
-    def clone_metadata(self) -> "VMA":
-        """Duplicate PTE metadata only (what ``mmt_attach`` copies).
+    @staticmethod
+    def _window(arr, vma: VMA):
+        """``arr``'s pages of ``vma``: an ndarray view, or a CoW window."""
+        lo, hi = vma.first, vma.first + vma.npages
+        if isinstance(arr, CowPageArray):
+            return CowWindow(arr, lo, hi)
+        return arr[lo:hi]
 
-        The clone shares the source arrays copy-on-write: the source
-        arrays are frozen (writes to them now fail fast) and the clone
-        materialises private chunks only where it is written.  Host cost
-        is O(1) per VMA instead of O(pages).  Cloning a clone shares its
-        template bases and copies only its private chunks.
+    def _bind(self, vma: VMA, block: PoolBlock, valid) -> int:
+        """Point ``vma``'s PTEs at ``block``; returns how many local
+        pages that unmapped.
+
+        ``valid`` is a bool or a per-page boolean mask: valid pages get
+        write-protected direct-map PTEs, the rest invalid PTEs holding the
+        remote address.
         """
-        out = VMA.__new__(VMA)   # skip __init__: no throwaway arrays
-        out.name = self.name
-        out.start = self.start
-        out.prot = self.prot
-        out.flags = self.flags
-        out.pool = self.pool
-        out._bases = None
-        if type(self.state) is not np.ndarray:
-            out.state = self.state.copy()
-            out.offsets = self.offsets.copy()
-            out.content = self.content.copy()
-            return out
-        bases = self._bases
-        if bases is None:
-            bases = self._bases = (TemplateBase(self.state),
-                                   TemplateBase(self.offsets),
-                                   TemplateBase(self.content))
-        out.state = CowPageArray(bases[0])
-        out.offsets = CowPageArray(bases[1])
-        out.content = CowPageArray(bases[2])
-        return out
+        lo, hi = vma.first, vma.first + vma.npages
+        freed = count_equal(vma.state, PTE_LOCAL)
+        if isinstance(valid, bool):
+            self.state[lo:hi] = PTE_REMOTE_RO if valid else PTE_REMOTE_INVALID
+        else:
+            mask = np.asarray(valid, dtype=bool)
+            if len(mask) != vma.npages:
+                raise ValueError("valid mask length mismatch")
+            self.state[lo:hi] = np.where(mask, PTE_REMOTE_RO,
+                                         PTE_REMOTE_INVALID).astype(np.uint8)
+        self.offsets[lo:hi] = block.offsets
+        vma.pool = block.pool
+        return freed
+
+    # -- sharing -------------------------------------------------------------------
+
+    def _share(self) -> tuple:
+        """``(layout, (state, offsets, content), local_runs)`` for a
+        copy-on-write attach of this table.
+
+        Plain arrays are frozen into :class:`TemplateBase` s (writes to
+        them fail fast from then on), and a fully frozen table caches the
+        result, so every later attach reuses the same bases.  CoW arrays
+        (an attached table) are handed out for the attacher to copy: it
+        shares their bases and copies only their private chunks.
+        ``local_runs`` lists ``(vma index, local pages)`` for each VMA
+        holding locally-resident pages — normally none: templates hold
+        only remote-backed or empty PTEs.
+        """
+        if self._shared is not None:
+            return self._shared
+        arrays = tuple(arr if isinstance(arr, CowPageArray)
+                       else TemplateBase(arr)
+                       for arr in (self.state, self.offsets, self.content))
+        shared = (self.layout, arrays, _local_runs(self.state, self.layout))
+        if not any(isinstance(arr, CowPageArray) for arr in arrays):
+            self._shared = shared
+        return shared
+
+
+def _local_runs(state, layout: Layout) -> List[Tuple[int, int]]:
+    """``(vma index, PTE_LOCAL count)`` of every VMA with local pages."""
+    if not count_equal(state, PTE_LOCAL):
+        return []
+    local = np.asarray(state) == PTE_LOCAL
+    per_vma = np.add.reduceat(local, layout.cum[:-1]).tolist()
+    return [(k, n) for k, n in enumerate(per_vma) if n]
 
 
 @dataclass
@@ -151,8 +363,9 @@ class AccessOutcome:
         self.fetch_pools.update(other.fetch_pools)
 
 
-class AddressSpace:
-    """A process address space: ordered VMAs + fault handling.
+class AddressSpace(PageTable):
+    """A process address space: a VMA layout over one PTE table, plus
+    fault handling.
 
     ``on_local_delta`` is invoked with the change in locally-resident page
     count whenever pages are allocated or freed, so a node-level accountant
@@ -161,67 +374,50 @@ class AddressSpace:
 
     def __init__(self, name: str = "",
                  on_local_delta: Optional[Callable[[int], None]] = None):
+        super().__init__()
         self.name = name
-        self.vmas: List[VMA] = []
         self.local_pages = 0
         self.on_local_delta = on_local_delta
-        self._cum: Optional[np.ndarray] = None
         self.destroyed = False
-
-    # -- layout management -------------------------------------------------------
-
-    def add_vma(self, name: str, npages: int, prot: int = PROT_READ | PROT_WRITE,
-                flags: int = MAP_PRIVATE, start: Optional[int] = None) -> VMA:
-        if npages <= 0:
-            raise ValueError(f"VMA must have at least one page: {npages}")
-        if start is None:
-            start = self.vmas[-1].end + PAGE_SIZE if self.vmas else 0x400000
-        vma = VMA(name, start, npages, prot, flags)
-        self.vmas.append(vma)
-        self._cum = None
-        return vma
-
-    def adopt_vma(self, vma: VMA) -> VMA:
-        """Install an externally built VMA (e.g. cloned template metadata).
-
-        Charges any locally-resident pages the clone carries (normally
-        none: templates hold only remote-backed or empty PTEs).
-        """
-        self.vmas.append(vma)
-        self._cum = None
-        self._charge(count_equal(vma.state, PTE_LOCAL))
-        if hooks.active is not None:
-            hooks.active.on_pte_bound(vma)
-        return vma
-
-    def find_vma(self, name: str) -> VMA:
-        for vma in self.vmas:
-            if vma.name == name:
-                return vma
-        raise KeyError(f"no VMA named {name!r} in {self.name}")
-
-    @property
-    def total_pages(self) -> int:
-        return sum(v.npages for v in self.vmas)
 
     @property
     def local_bytes(self) -> int:
         return self.local_pages * PAGE_SIZE
 
-    def grow_vma(self, name: str, npages: int) -> None:
-        self.find_vma(name).grow(npages)
-        self._cum = None
+    def attach(self, source: PageTable) -> None:
+        """Map ``source``'s layout and PTE table into this empty space.
+
+        Copies metadata only: the space shares the source's table
+        copy-on-write and its :class:`Layout` (``source._share``), then
+        charges any locally-resident pages the source carries, VMA by VMA
+        as a per-VMA clone would.  With the sanitizer installed every VMA
+        is also reported bound.
+        """
+        if self.total_pages:
+            raise ValueError(f"attach needs an empty address space: "
+                             f"{self.name} has {self.total_pages} pages")
+        layout, arrays, local_runs = source._share()
+        self._layout = layout
+        self._vmas = None
+        self.state, self.offsets, self.content = (
+            CowPageArray(a) if isinstance(a, TemplateBase) else a.copy()
+            for a in arrays)
+        if hooks.active is None:
+            for _, n_local in local_runs:
+                self._charge(n_local)
+            return
+        local = dict(local_runs)
+        for k, vma in enumerate(self.vmas):
+            self._charge(local.get(k, 0))
+            hooks.active.on_pte_bound(vma)
 
     # -- population ---------------------------------------------------------------
 
     def populate_local(self, vma: VMA, content_base: int = 0) -> None:
         """Materialise every page of ``vma`` as private local memory."""
         fresh = vma.npages - count_equal(vma.state, PTE_LOCAL)
-        vma.state[:] = PTE_LOCAL
-        if count_equal(vma.content, -1):
-            missing = np.asarray(vma.content == -1)
-            idx = np.nonzero(missing)[0]
-            vma.content[idx] = content_base + idx
+        self.state[vma.first:vma.first + vma.npages] = PTE_LOCAL
+        _fill_missing_content(vma, content_base)
         self._charge(fresh)
         if hooks.active is not None:
             hooks.active.on_pte_bound(vma)
@@ -230,19 +426,17 @@ class AddressSpace:
         """Materialise every VMA as local (the eager CRIU restore path).
 
         Equivalent to :meth:`populate_local` over all VMAs, but charges
-        the accountant once — content-id arrays shared CoW with a
-        snapshot image stay shared (``count_equal`` answers the missing-
+        the accountant once — a content-id table shared CoW with a
+        snapshot image stays shared (``count_equal`` answers the missing-
         content check from the cached base without densifying).
         """
-        fresh = 0
-        for vma in self.vmas:
-            fresh += vma.npages - count_equal(vma.state, PTE_LOCAL)
-            vma.state[:] = PTE_LOCAL
-            if count_equal(vma.content, -1):
-                missing = np.asarray(vma.content == -1)
-                idx = np.nonzero(missing)[0]
-                vma.content[idx] = content_base + idx
-            if hooks.active is not None:
+        fresh = self.total_pages - count_equal(self.state, PTE_LOCAL)
+        self.state[:] = PTE_LOCAL
+        if count_equal(self.content, -1):
+            for vma in self.vmas:
+                _fill_missing_content(vma, content_base)
+        if hooks.active is not None:
+            for vma in self.vmas:
                 hooks.active.on_pte_bound(vma)
         self._charge(fresh)
 
@@ -257,17 +451,7 @@ class AddressSpace:
         if block.npages != vma.npages:
             raise ValueError(
                 f"block/vma size mismatch: {block.npages} != {vma.npages}")
-        freed = count_equal(vma.state, PTE_LOCAL)
-        if isinstance(valid, bool):
-            vma.state[:] = PTE_REMOTE_RO if valid else PTE_REMOTE_INVALID
-        else:
-            mask = np.asarray(valid, dtype=bool)
-            if len(mask) != vma.npages:
-                raise ValueError("valid mask length mismatch")
-            vma.state[:] = np.where(mask, PTE_REMOTE_RO,
-                                    PTE_REMOTE_INVALID).astype(np.uint8)
-        vma.offsets[:] = block.offsets
-        vma.pool = block.pool
+        freed = self._bind(vma, block, valid)
         self._charge(-freed)
         if hooks.active is not None:
             hooks.active.on_pte_bound(vma)
@@ -284,20 +468,23 @@ class AddressSpace:
         on a byte-addressable pool — it prices CXL's extra latency.
 
         Writes fault first, then reads (which see the writes' effects).
-        Each list is one pass (:meth:`_runs`, :func:`_run_states`): one
-        state gather per touched VMA and one ``bincount`` for the whole
-        list; only the runs that actually fault run Python code.  A write
-        to a read-only VMA or an out-of-range index raises before any
-        state changes.
+        Each list is one pass over the flat table (:meth:`_runs`,
+        :func:`_run_counts`): one state gather, one ``bincount`` for the
+        per-VMA histograms and one scatter of the faulting pages.  Python
+        code runs only per faulting VMA, to charge the accountant (and
+        report CoW faults) in address order.  A write to a read-only VMA
+        or an out-of-range index raises before any state changes.
         """
         out = AccessOutcome()
         writes = self._runs(write_pages)
         reads = self._runs(read_pages)
         if writes is not None:
-            for vma in writes[0]:
-                if not vma.writable:
-                    raise PermissionError(
-                        f"write to read-only VMA {vma.name!r} in {self.name}")
+            read_only = ~self.layout.writable[writes[1]]
+            if read_only.any():
+                name = self.layout.specs[
+                    int(writes[1][np.argmax(read_only)])][0]
+                raise PermissionError(
+                    f"write to read-only VMA {name!r} in {self.name}")
             self._fault_writes(*writes, out)
         if reads is not None:
             remote_ro = self._fault_reads(*reads, out)
@@ -310,9 +497,10 @@ class AddressSpace:
                     read_loads * remote_ro / len(read_pages)))
         return out
 
-    def _fault_writes(self, vmas: List[VMA], bounds: List[int],
-                      local: np.ndarray, out: AccessOutcome) -> None:
-        states, counts = _run_states(vmas, bounds, local)
+    def _fault_writes(self, flat: np.ndarray, hit: np.ndarray,
+                      sizes: np.ndarray, out: AccessOutcome) -> None:
+        states = self.state[flat]
+        counts = _run_counts(states, sizes)
         zero, _, cow, fetch = counts.sum(axis=0).tolist()
         out.minor_faults += zero
         # Write-protect fault: copy the shared pool page to local DRAM
@@ -324,26 +512,24 @@ class AddressSpace:
         out.local_pages_allocated += zero + cow + fetch
         if zero + cow + fetch == 0:
             return
-        faulting = np.flatnonzero(counts[:, PTE_LOCAL]
-                                  != np.diff(bounds)).tolist()
-        per_run = counts[faulting].tolist()
-        for k, (n_zero, _, n_cow, n_fetch) in zip(faulting, per_run):
-            vma = vmas[k]
-            lo, hi = bounds[k], bounds[k + 1]
+        # Every non-LOCAL state ends LOCAL: one scatter for the pass.
+        self.state[flat[states != PTE_LOCAL]] = PTE_LOCAL
+        faulting = np.flatnonzero(counts[:, PTE_LOCAL] != sizes)
+        pool_names = self.layout.pool_names
+        for k, (n_zero, _, n_cow, n_fetch) in zip(
+                hit[faulting].tolist(), counts[faulting].tolist()):
             if n_fetch:
-                out.fetch_pools[vma.pool.name if vma.pool else "unknown"] \
-                    += n_fetch
-            # Every non-LOCAL state ends LOCAL: one scatter, one charge.
-            vma.state[local[lo:hi][states[lo:hi] != PTE_LOCAL]] = PTE_LOCAL
+                out.fetch_pools[pool_names[k]] += n_fetch
             self._charge(n_zero + n_cow + n_fetch)
             if n_cow and hooks.active is not None:
-                hooks.active.on_pte_cow(vma, n_cow)
+                hooks.active.on_pte_cow(self.vmas[k], n_cow)
 
-    def _fault_reads(self, vmas: List[VMA], bounds: List[int],
-                     local: np.ndarray, out: AccessOutcome) -> int:
-        """Fault the read runs; returns how many reads hit remote pages of
+    def _fault_reads(self, flat: np.ndarray, hit: np.ndarray,
+                     sizes: np.ndarray, out: AccessOutcome) -> int:
+        """Fault the read pass; returns how many reads hit remote pages of
         a byte-addressable pool."""
-        states, counts = _run_states(vmas, bounds, local)
+        states = self.state[flat]
+        counts = _run_counts(states, sizes)
         zero, _, remote, fetch = counts.sum(axis=0).tolist()
         # Demand-zero read: shared zero page, minor fault, no allocation.
         out.minor_faults += zero
@@ -353,43 +539,31 @@ class AddressSpace:
             out.major_faults += fetch
             out.pages_fetched += fetch
             out.local_pages_allocated += fetch
-            faulting = np.flatnonzero(counts[:, PTE_REMOTE_INVALID]).tolist()
-            per_run = counts[faulting, PTE_REMOTE_INVALID].tolist()
-            for k, n_fetch in zip(faulting, per_run):
-                vma = vmas[k]
-                lo, hi = bounds[k], bounds[k + 1]
-                out.fetch_pools[vma.pool.name if vma.pool else "unknown"] \
-                    += n_fetch
-                vma.state[local[lo:hi][states[lo:hi]
-                                       == PTE_REMOTE_INVALID]] = PTE_LOCAL
+            self.state[flat[states == PTE_REMOTE_INVALID]] = PTE_LOCAL
+            faulting = np.flatnonzero(counts[:, PTE_REMOTE_INVALID])
+            pool_names = self.layout.pool_names
+            for k, n_fetch in zip(
+                    hit[faulting].tolist(),
+                    counts[faulting, PTE_REMOTE_INVALID].tolist()):
+                out.fetch_pools[pool_names[k]] += n_fetch
                 self._charge(n_fetch)
         # PTE_REMOTE_RO reads: zero software cost (valid PTE, direct load).
         # PTE_LOCAL reads: free.
-        remote_ro = 0
-        if remote:
-            ro_runs = np.flatnonzero(counts[:, PTE_REMOTE_RO]).tolist()
-            per_run = counts[ro_runs, PTE_REMOTE_RO].tolist()
-            for k, n_ro in zip(ro_runs, per_run):
-                pool = vmas[k].pool
-                if pool is not None and pool.byte_addressable:
-                    remote_ro += n_ro
-        return remote_ro
+        if not remote:
+            return 0
+        direct = self.layout.byte_addressable[hit]
+        return int(counts[direct, PTE_REMOTE_RO].sum())
 
     # -- snapshotting helpers ---------------------------------------------------------
 
     def page_state_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {PTE_NONE: 0, PTE_LOCAL: 0,
-                                  PTE_REMOTE_RO: 0, PTE_REMOTE_INVALID: 0}
-        for vma in self.vmas:
-            for value in counts:
-                counts[value] += count_equal(vma.state, value)
-        return counts
+        return {value: count_equal(self.state, value)
+                for value in (PTE_NONE, PTE_LOCAL, PTE_REMOTE_RO,
+                              PTE_REMOTE_INVALID)}
 
     def content_image(self) -> np.ndarray:
-        """Concatenated content ids of every page (snapshot order)."""
-        if not self.vmas:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([np.asarray(v.content) for v in self.vmas])
+        """Content ids of every page (snapshot order)."""
+        return np.array(self.content)
 
     def destroy(self) -> int:
         """Release all local pages; returns how many were freed."""
@@ -402,23 +576,16 @@ class AddressSpace:
 
     # -- flat indexing -----------------------------------------------------------------
 
-    def flatten(self) -> np.ndarray:
-        """Cumulative page offsets per VMA for flat-index addressing."""
-        if self._cum is None or len(self._cum) != len(self.vmas) + 1:
-            sizes = np.array([v.npages for v in self.vmas], dtype=np.int64)
-            self._cum = np.concatenate([[0], np.cumsum(sizes)])
-        return self._cum
-
     def _runs(self, flat_pages
-              ) -> Optional[Tuple[List[VMA], List[int], np.ndarray]]:
+              ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Split flat page indices into per-VMA runs.
 
-        Returns ``None`` for no pages, else ``(vmas, bounds, local)``:
-        run ``k`` touches ``vmas[k]`` at local indices
-        ``local[bounds[k]:bounds[k+1]]``.  Indices are sorted first
-        unless they already are (traces are), so each VMA's touches form
-        one contiguous run found with a single ``searchsorted`` against
-        the cumulative layout.
+        Returns ``None`` for no pages, else ``(flat, hit, sizes)``: the
+        sorted indices, the indices of the VMAs they touch, and how many
+        touches each of those VMAs gets (consecutive in ``flat``).
+        Indices are sorted first unless they already are (traces are), so
+        one ``searchsorted`` against the cumulative layout finds every
+        run.
         """
         flat = np.asarray(flat_pages, dtype=np.int64)
         n = len(flat)
@@ -426,18 +593,12 @@ class AddressSpace:
             return None
         if n > 1 and (flat[1:] < flat[:-1]).any():
             flat = np.sort(flat, kind="stable")
-        cum = self.flatten()
+        cum = self.layout.cum
         if flat[0] < 0 or flat[-1] >= cum[-1]:
             raise IndexError("page index out of range for address space")
-        edges = np.searchsorted(flat, cum)
-        sizes = np.diff(edges)
+        sizes = np.diff(np.searchsorted(flat, cum))
         hit = np.flatnonzero(sizes)
-        local = flat - np.repeat(cum[hit], sizes[hit])
-        all_vmas = self.vmas
-        vmas = [all_vmas[i] for i in hit.tolist()]
-        bounds = edges[hit].tolist()
-        bounds.append(n)
-        return vmas, bounds, local
+        return flat, hit, sizes[hit]
 
     def _charge(self, delta_pages: int) -> None:
         if delta_pages == 0:
@@ -451,13 +612,16 @@ class AddressSpace:
             hooks.active.on_local_charge(self, delta_pages)
 
 
-def _run_states(vmas: List[VMA], bounds: List[int], local: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Current PTE states of every run (one gather per VMA) and each run's
-    per-state histogram (one ``bincount`` over ``run * 4 + state``)."""
-    states = np.concatenate([vma.state[local[lo:hi]]
-                             for vma, lo, hi in zip(vmas, bounds, bounds[1:])])
-    key = np.repeat(np.arange(0, 4 * len(vmas), 4), np.diff(bounds))
+def _fill_missing_content(vma: VMA, content_base: int) -> None:
+    """Give ``vma``'s undefined content ids ``content_base + page``."""
+    if count_equal(vma.content, -1):
+        idx = np.nonzero(np.asarray(vma.content) == -1)[0]
+        vma.content[idx] = content_base + idx
+
+
+def _run_counts(states: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each run's per-state histogram: one ``bincount`` over
+    ``run * 4 + state``."""
+    key = np.repeat(np.arange(0, 4 * len(sizes), 4), sizes)
     key += states
-    counts = np.bincount(key, minlength=4 * len(vmas)).reshape(-1, 4)
-    return states, counts
+    return np.bincount(key, minlength=4 * len(sizes)).reshape(-1, 4)

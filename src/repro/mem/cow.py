@@ -2,21 +2,25 @@
 
 TrEnv's headline property is that ``mmt_attach`` copies *metadata only*,
 so attach cost is (nearly) independent of image size (§5.1, Figure 11).
-The reproduction's per-page VMA state lives in numpy arrays; deep-copying
-them per attach made warm starts O(image) in *host* wall-clock — ~5 MB of
-array copies for the 855 MB IR image — even though the simulated cost was
-already metadata-only.
+An address space keeps its PTEs in one flat table (three arrays over all
+of its pages, :mod:`repro.mem.address_space`); deep-copying that table
+per attach would make warm starts O(image) in *host* wall-clock — ~4 MB
+of array copies for the 855 MB IR image — even though the simulated cost
+is metadata-only.
 
-:class:`CowPageArray` restores the paper's asymptotics host-side: a clone
-shares the template's (frozen) array and materialises private state in
-fixed-size chunks only when written, exactly like the kernel's CoW page
-tables.  Reads gather through the shared base with materialised chunks
-overlaid; once most chunks are private the array collapses to a dense
-copy so steady-state instances pay plain ndarray speed.
+:class:`CowPageArray` restores the paper's asymptotics host-side: an
+attached table shares the template's (frozen) array and materialises
+private state in fixed-size chunks only when written, exactly like the
+kernel's CoW page tables.  Attach therefore costs three wrapper objects
+whatever the image size.  Reads gather through the shared base with
+materialised chunks overlaid; once most chunks are private the array
+collapses to a dense copy so steady-state instances pay plain ndarray
+speed.
 
 The class implements just enough of the ndarray protocol for the fault
 path (`arr[idx]`, `arr[idx] = v`, `arr[:] = v`, `==`, ``np.asarray``) to
-stay transparent to existing callers and tests.
+stay transparent to existing callers and tests; :class:`CowWindow` is the
+same protocol over one VMA's page range of a table.
 """
 
 from __future__ import annotations
@@ -42,38 +46,30 @@ class TemplateBase:
 
     Freezing (``writeable=False``) turns accidental writes to shared
     template state into a hard error — the analogue of the kernel
-    write-protecting template page tables.  Count queries are cached so
-    per-attach accounting (e.g. resident-page charging) is O(1) instead
-    of O(pages).
+    write-protecting template page tables.  Count queries are cached per
+    page range (a whole table, one VMA, one chunk), so per-attach
+    accounting is O(1) instead of O(pages).
     """
 
-    __slots__ = ("array", "_counts", "_chunk_counts")
+    __slots__ = ("array", "_counts")
 
     def __init__(self, array: np.ndarray):
         array.setflags(write=False)
         self.array = array
-        self._counts: Dict[int, int] = {}
-        self._chunk_counts: Dict[tuple, int] = {}
+        self._counts: Dict[tuple, int] = {}
 
     def __len__(self) -> int:
         return len(self.array)
 
-    def count(self, value) -> int:
-        key = int(value)
+    def count(self, value, lo: int = 0, hi: Optional[int] = None) -> int:
+        """``count_nonzero(array[lo:hi] == value)``, cached."""
+        if hi is None:
+            hi = len(self.array)
+        key = (int(value), lo, hi)
         hit = self._counts.get(key)
         if hit is None:
-            hit = int(np.count_nonzero(self.array == value))
+            hit = int(np.count_nonzero(self.array[lo:hi] == value))
             self._counts[key] = hit
-        return hit
-
-    def count_chunk(self, cid: int, value) -> int:
-        key = (cid, int(value))
-        hit = self._chunk_counts.get(key)
-        if hit is None:
-            lo = cid << _SHIFT
-            sl = self.array[lo:lo + CHUNK_PAGES]
-            hit = int(np.count_nonzero(sl == value))
-            self._chunk_counts[key] = hit
         return hit
 
 
@@ -144,8 +140,8 @@ class CowPageArray:
         self._chunks = {}
 
     def _maybe_collapse(self) -> None:
-        # Single-chunk arrays (most VMAs are under CHUNK_PAGES) go dense
-        # on their first write: one materialised chunk IS the array, and
+        # Single-chunk arrays (tables under CHUNK_PAGES) go dense on
+        # their first write: one materialised chunk IS the array, and
         # staying chunked would tax every later gather with overlay work.
         n_chunks = (len(self._base.array) + _MASK) >> _SHIFT
         if len(self._chunks) >= max(1.0, n_chunks * _COLLAPSE_FRACTION):
@@ -246,14 +242,22 @@ class CowPageArray:
 
     # -- fast queries --------------------------------------------------------------
 
-    def count(self, value) -> int:
-        """``count_nonzero(self == value)`` in O(materialized chunks)."""
+    def count(self, value, lo: int = 0, hi: Optional[int] = None) -> int:
+        """``count_nonzero(self[lo:hi] == value)`` in O(materialized
+        chunks)."""
         if self._dense is not None:
-            return int(np.count_nonzero(self._dense == value))
-        total = self._base.count(value)
+            return int(np.count_nonzero(self._dense[lo:hi] == value))
+        base = self._base
+        if hi is None:
+            hi = len(base.array)
+        total = base.count(value, lo, hi)
         for cid, chunk in self._chunks.items():
-            total += int(np.count_nonzero(chunk == value))
-            total -= self._base.count_chunk(cid, value)
+            c_lo = cid << _SHIFT
+            a, b = max(lo, c_lo), min(hi, c_lo + len(chunk))
+            if a < b:
+                total += int(np.count_nonzero(chunk[a - c_lo:b - c_lo]
+                                              == value))
+                total -= base.count(value, a, b)
         return total
 
     def copy(self) -> "CowPageArray":
@@ -269,17 +273,86 @@ class CowPageArray:
         return out
 
 
+class CowWindow:
+    """Pages ``[lo, hi)`` of a :class:`CowPageArray` (one VMA of a table).
+
+    Indexing is window-relative; every read and write goes through to the
+    underlying array, so private chunks materialise there.
+    """
+
+    __slots__ = ("_arr", "_lo", "_hi")
+
+    def __init__(self, arr: CowPageArray, lo: int, hi: int):
+        self._arr = arr
+        self._lo = lo
+        self._hi = hi
+
+    @property
+    def dtype(self):
+        return self._arr.dtype
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def _index(self, key):
+        """Absolute page index/indices of ``key`` (int, slice, mask or
+        array)."""
+        if isinstance(key, (int, np.integer)):
+            key = int(key)
+            if not -len(self) <= key < len(self):
+                raise IndexError("page index out of range for VMA")
+            return self._lo + key % len(self)
+        if isinstance(key, slice):
+            return np.arange(self._lo, self._hi)[key]
+        idx = np.asarray(key)
+        if idx.dtype == bool:
+            idx = np.nonzero(idx)[0]
+        idx = np.where(idx < 0, idx + len(self), idx)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
+            raise IndexError("page index out of range for VMA")
+        return idx + self._lo
+
+    def __getitem__(self, key):
+        return self._arr[self._index(key)]
+
+    def __setitem__(self, key, value) -> None:
+        idx = self._index(key)
+        if not isinstance(idx, int) and not np.isscalar(value):
+            value = np.asarray(value)
+            if value.shape != idx.shape:
+                raise ValueError(
+                    f"shape mismatch: {value.shape} != {idx.shape}")
+        self._arr[idx] = value
+
+    def __array__(self, dtype=None, copy=None):
+        out = self._arr[np.arange(self._lo, self._hi)]
+        if dtype is not None and out.dtype != dtype:
+            out = out.astype(dtype)
+        return out
+
+    def __eq__(self, other):  # type: ignore[override]
+        return np.asarray(self) == other
+
+    def __ne__(self, other):  # type: ignore[override]
+        return np.asarray(self) != other
+
+    __hash__ = None  # array-like equality semantics => unhashable
+
+    def count(self, value) -> int:
+        return self._arr.count(value, self._lo, self._hi)
+
+
 # -- helpers for code that handles both ndarray and CowPageArray ------------------
 
 def count_equal(arr, value) -> int:
     """Vector-count of ``arr == value`` using the cheapest available path."""
-    if isinstance(arr, CowPageArray):
+    if isinstance(arr, (CowPageArray, CowWindow)):
         return arr.count(value)
     return int(np.count_nonzero(arr == value))
 
 
 def as_dense(arr) -> np.ndarray:
     """A plain ndarray view/copy of ``arr`` (dense copy for CoW arrays)."""
-    if isinstance(arr, CowPageArray):
-        return arr.to_ndarray()
+    if isinstance(arr, (CowPageArray, CowWindow)):
+        return np.asarray(arr)
     return arr

@@ -56,15 +56,10 @@ def duplication_report(spaces: Sequence[AddressSpace]) -> DuplicationReport:
     counts: Dict[int, int] = {}
     total = 0
     for space in spaces:
-        for vma in space.vmas:
-            resident = vma.state == PTE_LOCAL
-            n = int(np.count_nonzero(resident))
-            if n == 0:
-                continue
-            total += n
-            for cid in vma.content[resident]:
-                cid = int(cid)
-                counts[cid] = counts.get(cid, 0) + 1
+        resident = np.asarray(space.state) == PTE_LOCAL
+        total += int(np.count_nonzero(resident))
+        for cid in np.asarray(space.content)[resident].tolist():
+            counts[cid] = counts.get(cid, 0) + 1
     unique = len(counts)
     duplicated = sum(c for c in counts.values() if c >= 2)
     return DuplicationReport(total_resident_pages=total,

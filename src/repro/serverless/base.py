@@ -603,10 +603,7 @@ class ServerlessPlatform:
 
     def _byte_addressable_pool(self, inst: Instance) -> Optional[MemoryPool]:
         """The pool serving this instance's direct loads, if any."""
-        for vma in inst.space.vmas:
-            if vma.pool is not None and vma.pool.byte_addressable:
-                return vma.pool
-        return None
+        return inst.space.layout.direct_pool
 
     def _loads_with_recovery(self, inst: Instance, nloads: int
                              ) -> Generator:

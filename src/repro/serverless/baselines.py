@@ -150,10 +150,13 @@ class _LazyVMPlatform(ServerlessPlatform):
     def _bind_lazy_image(self, vm: MicroVM, profile: FunctionProfile) -> None:
         image = self.images[profile.name]
         space = vm.guest_memory
-        for (vma_desc, content), block in zip(image.vma_content_slices(),
-                                              self.blocks[profile.name]):
-            vma = space.add_vma(vma_desc.name, vma_desc.npages,
-                                vma_desc.prot, vma_desc.flags)
+        slices = image.vma_content_slices()
+        # The whole layout first, so the PTE table is allocated once.
+        vmas = [space.add_vma(vma_desc.name, vma_desc.npages,
+                              vma_desc.prot, vma_desc.flags)
+                for vma_desc, _content in slices]
+        for vma, (_desc, content), block in zip(vmas, slices,
+                                                self.blocks[profile.name]):
             vma.content[:] = content
             space.bind_remote(vma, block, valid=False)
 

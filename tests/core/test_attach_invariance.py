@@ -7,9 +7,10 @@ reproduction's version of that claim:
 * **simulated** — attaching the 855 MB / 218 880-page IR-sized template
   stays sub-millisecond and within a small constant factor of a
   1024-page one (the residual slope is the 1.2 ns/PTE metadata walk);
-* **host** — the clone allocates O(chunks-touched) private bytes, i.e.
-  zero at attach time regardless of template size, and accounting
-  (``local_pages``) is unchanged by lazy CoW materialisation.
+* **host** — the attached PTE table allocates O(chunks-touched) private
+  bytes, i.e. zero at attach time regardless of template size, and
+  accounting (``local_pages``) is unchanged by lazy CoW
+  materialisation.
 
 The literal costs and counts below were recorded when a deep-copying
 attach path still existed; both paths produced them exactly.
@@ -52,27 +53,29 @@ class TestSimulatedInvariance:
         assert cost == 0.000631856
 
 
+def private_nbytes(space):
+    """Host bytes the space's PTE table holds privately (not shared with
+    the template)."""
+    return sum(arr.private_nbytes
+               for arr in (space.state, space.offsets, space.content))
+
+
 class TestHostInvariance:
     def test_attach_allocates_zero_private_bytes_at_any_size(self):
         for pages in (SMALL_PAGES, LARGE_PAGES):
             space, _ = attach(_build_synthetic_template(pages))
-            for vma in space.vmas:
-                assert isinstance(vma.state, CowPageArray)
-                assert vma.state.private_nbytes == 0
-                assert vma.offsets.private_nbytes == 0
-                assert vma.content.private_nbytes == 0
+            for arr in (space.state, space.offsets, space.content):
+                assert isinstance(arr, CowPageArray)
+            assert private_nbytes(space) == 0
 
     def test_private_bytes_scale_with_pages_touched_not_template_size(self):
         space, _ = attach(_build_synthetic_template(LARGE_PAGES))
         trace = np.array([0, 1, 2, 3], dtype=np.int64)
         space.access(read_pages=np.array([], dtype=np.int64),
                      write_pages=trace)
-        private = sum(v.state.private_nbytes + v.offsets.private_nbytes +
-                      v.content.private_nbytes for v in space.vmas
-                      if isinstance(v.state, CowPageArray))
-        # One chunk of state materialised at most (offsets/content may
-        # densify small VMAs); nowhere near the 219k-page template.
-        assert 0 < private < LARGE_PAGES * 8
+        # One chunk of state materialised; nowhere near the 219k-page
+        # template.
+        assert 0 < private_nbytes(space) < LARGE_PAGES * 8
 
     def test_local_pages_accounting_matches_copying_baseline(self):
         rng = np.random.default_rng(7)

@@ -267,10 +267,14 @@ class TestSnapshotHelpers:
         image = space.content_image()
         assert list(image) == [100, 101, 200, 201, 202]
 
-    def test_clone_metadata_shares_nothing_mutable(self):
+    def test_attach_shares_nothing_mutable(self):
         space = cxl_bound_space(10)
         vma = space.find_vma("heap")
-        clone = vma.clone_metadata()
-        clone.state[0] = PTE_LOCAL
+        clone = AddressSpace("clone")
+        clone.attach(space)
+        clone.access(arr(), arr(0))
+        clone.find_vma("heap").offsets[1] = -7
+        assert clone.find_vma("heap").state[0] == PTE_LOCAL
         assert vma.state[0] == PTE_REMOTE_RO
-        assert clone.pool is vma.pool
+        assert vma.offsets[1] != -7
+        assert clone.find_vma("heap").pool is vma.pool

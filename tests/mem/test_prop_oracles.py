@@ -208,8 +208,9 @@ def vma_specs(draw):
 
 
 def build_space(specs, clone, cap_pages):
-    """A deterministic address space from ``specs``; with ``clone`` its
-    VMAs are CoW clones of a bound template (the mm-template attach)."""
+    """A deterministic address space from ``specs``; with ``clone`` it
+    attaches a bound template's table copy-on-write (the mm-template
+    attach)."""
     cxl = DedupStore(CXLPool(256 * MB))
     rdma = DedupStore(RDMAPool(256 * MB))
     template = AddressSpace("template")
@@ -233,8 +234,7 @@ def build_space(specs, clone, cap_pages):
 
     if clone:
         space = AddressSpace("space", on_local_delta=on_delta)
-        for vma in template.vmas:
-            space.adopt_vma(vma.clone_metadata())
+        space.attach(template)
     else:
         space = template
         space.on_local_delta = on_delta

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import TrEnvConfig
 from repro.core.platform import TrEnvPlatform
 from repro.mem.layout import GB, MB
-from repro.mem.pools import CXLPool, RDMAPool
+from repro.mem.pools import CXLPool, RDMAPool, TieredPool
 from repro.node import Node
 from repro.serverless.baselines import (CRIUPlatform, FaasdPlatform,
                                         FaasnapPlatform, ReapPlatform)
@@ -235,3 +235,28 @@ class TestMemoryPressure:
         node.sim.run_process(driver())
         node.sim.run()
         assert len(faasd.warm) < 2
+
+
+def walk_for_direct_pool(space):
+    """The VMA walk ``_byte_addressable_pool`` used to do per invocation."""
+    for vma in space.vmas:
+        if vma.pool is not None and vma.pool.byte_addressable:
+            return vma.pool
+    return None
+
+
+class TestDirectLoadPool:
+    @pytest.mark.parametrize("name,expect", [
+        ("t-cxl", CXLPool), ("t-rdma", None), ("criu", None),
+        ("faasnap", None), ("t-tiered", TieredPool)])
+    def test_layout_answer_matches_the_vma_walk(self, name, expect):
+        from repro.bench.harness import make_platform
+        platform = make_platform(name)
+        invoke_n(platform, "JS", 2)
+        (inst,) = platform.warm.idle_instances()
+        pool = platform._byte_addressable_pool(inst)
+        assert pool is walk_for_direct_pool(inst.space)
+        if expect is None:
+            assert pool is None
+        else:
+            assert isinstance(pool, expect)
