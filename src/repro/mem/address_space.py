@@ -112,7 +112,7 @@ class Layout:
     vectors the fault path reads; clones of one table share it."""
 
     __slots__ = ("specs", "cum", "writable", "pool_names",
-                 "byte_addressable", "direct_pool")
+                 "byte_addressable", "direct_pool", "_pools")
 
     def __init__(self, vmas: List[VMA]):
         #: (name, start, first, npages, prot, flags, pool) per VMA.
@@ -131,6 +131,16 @@ class Layout:
         self.direct_pool: Optional[MemoryPool] = next(
             (v.pool for v in vmas
              if v.pool is not None and v.pool.byte_addressable), None)
+        self._pools: Optional[Tuple[str, ...]] = None
+
+    @property
+    def pools(self) -> Tuple[str, ...]:
+        """The distinct pool names behind the layout, sorted (computed
+        on first use: only observers read it)."""
+        if self._pools is None:
+            self._pools = tuple(sorted({pool.name for *_, pool in self.specs
+                                        if pool is not None}))
+        return self._pools
 
 
 class _TableArray:

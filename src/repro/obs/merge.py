@@ -25,15 +25,29 @@ Why this works without coordination:
   of the shard's ``k``-th owned event in wake order.  The remap is
   computed from the workload + plan alone — no runtime channel.
 
-Anything that breaks these invariants raises :class:`SpanMergeError`;
-the runner surfaces its message as the explicit span-merge fallback
-reason and re-runs the serial reference path for the trace.
+The per-record work runs in the workers, in parallel: the parent
+computes every shard's remap before submitting, and each worker turns
+its tracer into a :class:`ShardTrace` (:func:`shard_trace`) — ids
+remapped, records content-sorted, still tuples.  The parent's
+:func:`merge_shard_tracers` then only merges runs that are already
+sorted.
+
+Anything that breaks these invariants raises :class:`SpanMergeError`
+in the parent (a worker-side breach travels back as
+:attr:`ShardTrace.breach`); the runner surfaces its message as the
+explicit span-merge fallback reason and re-runs the serial reference
+path for the trace.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import eq, itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.trace import SpanTracer
 
@@ -77,81 +91,173 @@ def shard_remaps(event_times: Sequence[float],
     return remaps
 
 
-def _canon(args: Optional[Dict]) -> str:
+# -- content order ------------------------------------------------------------
+
+#: Every field but the trailing args dict, per record kind.
+_SPAN_LEAD = itemgetter(0, 1, 2, 3, 4, 5, 6)
+_INSTANT_LEAD = itemgetter(0, 1, 2, 3)
+_LINK_LEAD = itemgetter(0, 1, 2, 3, 4)
+
+
+def _canon(record: Tuple) -> str:
+    args = record[-1]
     return json.dumps(args, sort_keys=True) if args else ""
 
 
-def merge_shard_tracers(tracer_dicts: Sequence[Optional[Dict]],
-                        remaps: Sequence[Dict[int, int]]) -> SpanTracer:
-    """Fold shard ``SpanTracer.to_dict()`` snapshots into one tracer.
+@contextlib.contextmanager
+def _collector_paused():
+    """No cyclic-GC passes while a block builds records in bulk.
 
-    Raises :class:`SpanMergeError` when the shard snapshots violate a
-    merge invariant (missing tracer, disagreeing pid maps, a shard
-    whose begin count differs from the events the plan says it owns).
-    The merged tracer's records are sorted by a content key so the
-    result is identical for any shard count that merges at all.
+    Remapping and sorting allocate a tuple per record (and a key tuple
+    per record while sorting); on a shard's large heap the collector
+    passes those allocations trigger cost more than the work itself.
+    The records form no reference cycles, so there is nothing for the
+    paused collector to find.
     """
-    if not tracer_dicts:
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _content_sort(records: List[Tuple], lead) -> None:
+    """Sort ``records`` in place by (leading fields, canonical args).
+
+    The leading fields decide nearly every comparison, so the sort keys
+    on them alone and canonicalises ``args`` (one ``json.dumps``) only
+    inside runs whose leading fields tie.  Both passes are stable, so
+    records that tie on the full key keep their input order — the same
+    order a single sort on the full key gives.  On input that is a
+    concatenation of sorted runs the sort is a merge.
+    """
+    records.sort(key=lead)
+    keys = list(map(lead, records))
+    # Positions i whose key equals the key at i - 1.
+    ties = compress(range(1, len(keys)), map(eq, keys[1:], keys))
+    runs: List[List[int]] = []
+    for i in ties:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i - 1, i + 1])
+    for start, end in runs:
+        records[start:end] = sorted(records[start:end], key=_canon)
+
+
+# -- worker side ---------------------------------------------------------------
+
+@dataclass
+class ShardTrace:
+    """One shard's span trace, ready for the parent's merge.
+
+    Built in the worker by :func:`shard_trace`: trace ids are serial
+    ids and each record list is content-sorted.  Records stay tuples,
+    since the process boundary is pickle.  ``breach`` names the merge
+    invariant the shard broke, if any; its record lists are then empty.
+    """
+
+    #: {track name: pid}.
+    procs: Dict[str, int]
+    #: {pid: lane high-water mark}.
+    lane_high: Dict[int, int]
+    #: How many trace ids the shard owns (its remap's size).
+    n_ids: int
+    spans: List[Tuple] = field(default_factory=list)
+    instants: List[Tuple] = field(default_factory=list)
+    links: List[Tuple] = field(default_factory=list)
+    breach: Optional[str] = None
+
+
+def shard_trace(tracer: SpanTracer, remap: Dict[int, int],
+                shard: int) -> ShardTrace:
+    """Remap ``tracer``'s ids to serial ids and content-sort its records.
+
+    Runs in the shard worker.  Checks the shard-side merge invariants:
+    the shard began exactly as many traces as the plan gives it events,
+    and every id it recorded is one of them.  A breach is returned as
+    :attr:`ShardTrace.breach`, not raised, so the worker still hands
+    back its outcome and the parent can fall back with the reason.
+    """
+    out = ShardTrace(procs=tracer.processes(),
+                     lane_high=dict(tracer._lane_high), n_ids=len(remap))
+    n_local = tracer._next_id - 1
+    if n_local != len(remap):
+        out.breach = (f"shard {shard} began {n_local} traces but the plan "
+                      f"owns {len(remap)} events")
+        return out
+    rid = dict(remap)
+    rid[0] = 0          # the environment keeps id 0
+    with _collector_paused():
+        try:
+            spans = [(t0, t1, pid, tid, name, cat, rid[trace_id], args)
+                     for t0, t1, pid, tid, name, cat, trace_id, args
+                     in tracer.spans]
+            instants = []
+            for record in tracer.instants:
+                args = record[4]
+                if args and "trace_id" in args:
+                    args = dict(args)
+                    args["trace_id"] = rid[args["trace_id"]]
+                    record = record[:4] + (args,)
+                instants.append(record)
+            links = [(t0, t1, kind, rid[src], rid[dst], args)
+                     for t0, t1, kind, src, dst, args in tracer.links]
+        except KeyError as exc:
+            out.breach = (f"shard {shard} referenced unknown local trace "
+                          f"id {exc.args[0]}")
+            return out
+        _content_sort(spans, _SPAN_LEAD)
+        _content_sort(instants, _INSTANT_LEAD)
+        _content_sort(links, _LINK_LEAD)
+    out.spans, out.instants, out.links = spans, instants, links
+    return out
+
+
+# -- parent side ---------------------------------------------------------------
+
+def merge_shard_tracers(traces: Sequence[Optional[ShardTrace]]
+                        ) -> SpanTracer:
+    """Fold the shards' :class:`ShardTrace` runs into one tracer.
+
+    Raises :class:`SpanMergeError` when a shard trace is missing, the
+    pid maps disagree, or a worker reported a breach.  The merged
+    records are in content order, so the result is identical for any
+    shard count that merges at all.
+    """
+    if not traces:
         raise SpanMergeError("no shard traces to merge")
-    if len(tracer_dicts) != len(remaps):
-        raise SpanMergeError(
-            f"{len(tracer_dicts)} shard traces but {len(remaps)} remap "
-            f"tables")
-    for shard, data in enumerate(tracer_dicts):
-        if data is None:
+    for shard, trace in enumerate(traces):
+        if trace is None:
             raise SpanMergeError(f"shard {shard} recorded no span trace")
-    procs0 = [list(p) for p in tracer_dicts[0]["procs"]]
-    for shard, data in enumerate(tracer_dicts):
-        procs = [list(p) for p in data["procs"]]
-        if procs != procs0:
+    procs = traces[0].procs
+    for shard, trace in enumerate(traces):
+        if trace.procs != procs:
             raise SpanMergeError(
                 f"shard {shard} pid map differs from shard 0 "
                 f"(prebind invariant broken)")
+    for trace in traces:
+        if trace.breach is not None:
+            raise SpanMergeError(trace.breach)
 
     merged = SpanTracer()
-    merged._procs = {name: int(pid) for name, pid in procs0}
+    merged._procs = dict(procs)
     lane_high: Dict[int, int] = {}
-    for shard, (data, remap) in enumerate(zip(tracer_dicts, remaps)):
-        n_local = int(data["next_id"]) - 1
-        if n_local != len(remap):
-            raise SpanMergeError(
-                f"shard {shard} began {n_local} traces but the plan "
-                f"owns {len(remap)} events")
-
-        def rid(local_id: int) -> int:
-            if local_id == 0:
-                return 0
-            mapped = remap.get(int(local_id))
-            if mapped is None:
-                raise SpanMergeError(
-                    f"shard {shard} referenced unknown local trace id "
-                    f"{local_id}")
-            return mapped
-
-        for t0, t1, pid, tid, name, cat, trace_id, args in data["spans"]:
-            merged.spans.append((t0, t1, int(pid), int(tid), name, cat,
-                                 rid(trace_id), args))
-        for t, pid, tid, name, args in data["instants"]:
-            if args and "trace_id" in args:
-                args = dict(args)
-                args["trace_id"] = rid(args["trace_id"])
-            merged.instants.append((t, int(pid), int(tid), name, args))
-        for t0, t1, kind, src, dst, args in data["links"]:
-            merged.links.append((t0, t1, kind, rid(src), rid(dst), args))
-        for pid, high in data["lane_high"]:
-            pid = int(pid)
-            lane_high[pid] = max(lane_high.get(pid, 0), int(high))
-
+    for trace in traces:
+        merged.spans.extend(trace.spans)
+        merged.instants.extend(trace.instants)
+        merged.links.extend(trace.links)
+        for pid, high in trace.lane_high.items():
+            lane_high[pid] = max(lane_high.get(pid, 0), high)
     merged._lane_high = dict(sorted(lane_high.items()))
-    merged._next_id = 1 + sum(len(r) for r in remaps)
-    # Content-key sort: shard concatenation order must not leak into
-    # the merged object (2-shard and 4-shard merges of the same run
-    # must be identical tracers; exports sort content-purely anyway).
-    merged.spans.sort(
-        key=lambda s: (s[0], s[1], s[2], s[3], s[4], s[5], s[6],
-                       _canon(s[7])))
-    merged.instants.sort(
-        key=lambda s: (s[0], s[1], s[2], s[3], _canon(s[4])))
-    merged.links.sort(
-        key=lambda s: (s[0], s[1], s[2], s[3], s[4], _canon(s[5])))
+    merged._next_id = 1 + sum(trace.n_ids for trace in traces)
+    # Content order: shard concatenation order must not leak into the
+    # merged object (2-shard and 4-shard merges of the same run must be
+    # identical tracers).  Each shard's run is already sorted.
+    with _collector_paused():
+        _content_sort(merged.spans, _SPAN_LEAD)
+        _content_sort(merged.instants, _INSTANT_LEAD)
+        _content_sort(merged.links, _LINK_LEAD)
     return merged

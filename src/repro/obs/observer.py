@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.obs import hooks
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricKey, MetricsRegistry
 from repro.obs.trace import SpanTracer, TraceContext
 
 #: Valid --obs-level / REPRO_OBS values ("off" means: don't install).
@@ -51,6 +51,9 @@ class Observability:
             MetricsRegistry()
         self.tracer = tracer if tracer is not None else (
             SpanTracer() if level == "spans" else None)
+        # (platform, function, start kind) -> on_invocation's series keys.
+        self._invocation_keys: Dict[Tuple[str, str, str],
+                                    Tuple[MetricKey, ...]] = {}
 
     # -- memory subsystem hooks ----------------------------------------------
 
@@ -117,12 +120,11 @@ class Observability:
         self.registry.inc("mmt_attach_pages_total", template.total_pages)
         self.registry.observe("mmt_attach_seconds", t1 - t0)
         if self.tracer is not None:
-            pools = sorted({vma.pool.name for vma in template.vmas
-                            if vma.pool is not None})
             self.tracer.span(ctx, "mmt_attach", t0, t1,
                              args={"template": template.key,
                                    "pages": template.total_pages,
-                                   "pool": ",".join(pools) or "local"})
+                                   "pool": ",".join(template.layout.pools)
+                                   or "local"})
 
     # -- fault-domain hooks ---------------------------------------------------
 
@@ -141,24 +143,37 @@ class Observability:
     # -- invocation lifecycle (called from serverless/base.py) -----------------
 
     def on_invocation(self, platform_name: str, result) -> None:
+        which = (platform_name, result.function, result.start_kind)
+        keys = self._invocation_keys.get(which)
+        if keys is None:
+            keys = self._invocation_keys[which] = \
+                self._resolve_invocation_keys(*which)
+        total, warm, retries, degraded, e2e, startup, exec_ = keys
         reg = self.registry
-        reg.inc("invocations_total", platform=platform_name,
-                function=result.function, kind=result.start_kind)
-        if result.start_kind == "warm":
-            reg.inc("warm_hits_total", platform=platform_name)
-        else:
-            reg.inc("warm_misses_total", platform=platform_name)
+        reg.inc_key(total)
+        reg.inc_key(warm)
         if result.retries:
-            reg.inc("invocation_retries_total", result.retries,
-                    platform=platform_name)
+            reg.inc_key(retries, result.retries)
         if result.degraded:
-            reg.inc("degraded_invocations_total", platform=platform_name)
-        reg.observe("invocation_seconds", result.e2e,
-                    platform=platform_name, phase="e2e")
-        reg.observe("invocation_seconds", result.startup,
-                    platform=platform_name, phase="startup")
-        reg.observe("invocation_seconds", result.exec,
-                    platform=platform_name, phase="exec")
+            reg.inc_key(degraded)
+        reg.observe_key(e2e, result.e2e)
+        reg.observe_key(startup, result.startup)
+        reg.observe_key(exec_, result.exec)
+
+    def _resolve_invocation_keys(self, platform: str, function: str,
+                                 kind: str) -> Tuple[MetricKey, ...]:
+        key = self.registry.key
+        return (
+            key("invocations_total", platform=platform, function=function,
+                kind=kind),
+            key("warm_hits_total" if kind == "warm" else
+                "warm_misses_total", platform=platform),
+            key("invocation_retries_total", platform=platform),
+            key("degraded_invocations_total", platform=platform),
+            key("invocation_seconds", platform=platform, phase="e2e"),
+            key("invocation_seconds", platform=platform, phase="startup"),
+            key("invocation_seconds", platform=platform, phase="exec"),
+        )
 
     def on_retire(self, platform_name: str, function: str,
                   reason: str) -> None:

@@ -8,7 +8,10 @@ registry whose totals equal a serial run's exactly.
 
 Keys are ``(name, sorted label pairs)`` — label order never matters, and
 every exporter iterates keys in sorted order (the SIM003 discipline:
-nothing downstream may depend on insertion order).
+nothing downstream may depend on insertion order).  A registry resolves
+each label set to its key once and memoizes it; hot callers can also
+hold a resolved key (:meth:`MetricsRegistry.key`) and record through
+:meth:`~MetricsRegistry.inc_key` / :meth:`~MetricsRegistry.observe_key`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 def _key(name: str, labels: Dict[str, object]) -> MetricKey:
     return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+
+
+#: Label value types whose equal values always render alike, so a memo
+#: keyed on the values (plus their types) is exact.  Floats stay out:
+#: ``0.0 == -0.0`` but they render differently.
+_MEMO_TYPES = frozenset((str, int, bool))
 
 
 def render_key(key: MetricKey) -> str:
@@ -129,23 +138,50 @@ class MetricsRegistry:
         self._counters: Dict[MetricKey, float] = {}
         self._gauges: Dict[MetricKey, float] = {}
         self._hists: Dict[MetricKey, LogHistogram] = {}
+        # (name, label items, label value types) -> key.  The types keep
+        # a=1, a=True and a=1.0 apart: the values compare and hash equal
+        # but render as three different series.
+        self._keys: Dict[Tuple, MetricKey] = {}
+
+    def _resolve(self, name: str, labels: Dict[str, object]) -> MetricKey:
+        if not labels:
+            return (name, ())
+        types = tuple(map(type, labels.values()))
+        if not _MEMO_TYPES.issuperset(types):
+            return _key(name, labels)
+        memo = (name, tuple(labels.items()), types)
+        key = self._keys.get(memo)
+        if key is None:
+            key = self._keys[memo] = _key(name, labels)
+        return key
+
+    def key(self, name: str, **labels) -> MetricKey:
+        """The series key of ``name`` + ``labels``, for the ``*_key``
+        recorders: a caller that records one series often resolves it
+        once."""
+        return self._resolve(name, labels)
 
     # -- recording -------------------------------------------------------------
 
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
-        key = _key(name, labels)
+        key = self._resolve(name, labels)
+        self._counters[key] = self._counters.get(key, 0.0) + value
+
+    def inc_key(self, key: MetricKey, value: float = 1.0) -> None:
         self._counters[key] = self._counters.get(key, 0.0) + value
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        self._gauges[_key(name, labels)] = value
+        self._gauges[self._resolve(name, labels)] = value
 
     def add_gauge(self, name: str, delta: float, **labels) -> None:
         """Accumulate a level gauge (e.g. current bytes per category)."""
-        key = _key(name, labels)
+        key = self._resolve(name, labels)
         self._gauges[key] = self._gauges.get(key, 0.0) + delta
 
     def observe(self, name: str, value: float, **labels) -> None:
-        key = _key(name, labels)
+        self.observe_key(self._resolve(name, labels), value)
+
+    def observe_key(self, key: MetricKey, value: float) -> None:
         hist = self._hists.get(key)
         if hist is None:
             hist = self._hists[key] = LogHistogram()
@@ -154,13 +190,13 @@ class MetricsRegistry:
     # -- reading ---------------------------------------------------------------
 
     def counter(self, name: str, **labels) -> float:
-        return self._counters.get(_key(name, labels), 0.0)
+        return self._counters.get(self._resolve(name, labels), 0.0)
 
     def gauge(self, name: str, **labels) -> float:
-        return self._gauges.get(_key(name, labels), 0.0)
+        return self._gauges.get(self._resolve(name, labels), 0.0)
 
     def histogram(self, name: str, **labels) -> Optional[LogHistogram]:
-        return self._hists.get(_key(name, labels))
+        return self._hists.get(self._resolve(name, labels))
 
     def totals(self) -> Dict[str, float]:
         """Every counter, rendered and sorted — the merge-equality view."""

@@ -206,10 +206,15 @@ class SpanTracer:
         dst_id = dst.trace_id if isinstance(dst, TraceContext) else int(dst)
         self.links.append((t0, t1, kind, src_id, dst_id, args))
 
-    # -- (de)serialization — the shard-worker process boundary -----------------
+    # -- (de)serialization ----------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """JSON-safe snapshot: everything the span merge needs."""
+        """JSON-safe snapshot of the whole tracer state.
+
+        Two tracers with equal snapshots are the same trace; shard
+        workers hand theirs to the merge as a
+        :class:`~repro.obs.merge.ShardTrace` instead.
+        """
         return {
             "procs": [[name, self._procs[name]]
                       for name in sorted(self._procs,

@@ -17,7 +17,10 @@ construction**:
   Dispatch replays the plan's static assignment via a scripted policy,
   so per-node event streams equal the serial run's slices exactly;
 * **merge**: shard outcomes merge in shard order, which equals the
-  serial per-node merge order because node blocks are contiguous.
+  serial per-node merge order because node blocks are contiguous.  At
+  the spans level each worker already remapped and sorted its trace
+  (:func:`repro.obs.merge.shard_trace`, with the remap the parent
+  computed before submitting), so the parent only merges sorted runs.
 
 Statically partitioned shards exchange no events, so workers never
 wait on each other.  A worker that dies (``BrokenProcessPool``) makes
@@ -35,6 +38,7 @@ from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence,
                     Tuple)
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
+    from repro.obs.merge import ShardTrace
     from repro.obs.trace import SpanTracer
 
 from repro.serverless.cluster import ClusterResult, DispatchPolicy
@@ -112,7 +116,8 @@ class _ShardOutcome:
     duration: float
     pool_used_mb: float
     registry: Optional[Dict]
-    tracer: Optional[Dict] = None
+    #: The shard's remapped, content-sorted span trace (spans level).
+    trace: Optional["ShardTrace"] = None
 
 
 @dataclass
@@ -145,8 +150,14 @@ def _sub_workload(workload: Workload, events: List[ArrivalEvent],
 def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
                   group: Tuple[int, int], events: List[ArrivalEvent],
                   node_seq: List[str], warmup: Optional[float],
-                  obs_level: str) -> _ShardOutcome:
-    """One shard: rebuild the world, run its owned events."""
+                  obs_level: str,
+                  remap: Optional[Dict[int, int]]) -> _ShardOutcome:
+    """One shard: rebuild the world, run its owned events.
+
+    At the spans level ``remap`` maps the shard's trace ids to serial
+    ids, and the worker remaps and sorts its own trace for the merge.
+    """
+    from repro.obs.merge import shard_trace
     from repro.obs.observer import observed
 
     # Build and prepare (replay registration) OUTSIDE the observed
@@ -167,13 +178,13 @@ def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
 
     sub = _sub_workload(workload, events, shard)
     registry_dict: Optional[Dict] = None
-    tracer_dict: Optional[Dict] = None
+    trace = None
     if obs_level != "off":
         with observed(obs_level) as obs:
             cluster.run_workload(sub, warmup=warmup)
         registry_dict = obs.registry.to_dict()
         if obs.tracer is not None:
-            tracer_dict = obs.tracer.to_dict()
+            trace = shard_trace(obs.tracer, remap, shard)
     else:
         cluster.run_workload(sub, warmup=warmup)
 
@@ -195,7 +206,7 @@ def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
         duration=cluster.sim.now,
         pool_used_mb=cluster.rack_pool_used_mb(),
         registry=registry_dict,
-        tracer=tracer_dict)
+        trace=trace)
 
 
 def _run_serial(spec: ClusterSpec, workload: Workload,
@@ -284,6 +295,12 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
                            mode="fallback", jobs=n_jobs,
                            reasons=list(plan.reasons))
 
+    from repro.obs.merge import (SpanMergeError, merge_shard_tracers,
+                                 shard_remaps)
+
+    remaps: List[Optional[Dict[int, int]]] = [None] * plan.n_shards
+    if obs_level == "spans":
+        remaps = shard_remaps([e.time for e in workload.events], plan)
     node_names = [f"node{i}" for i in range(spec.n_nodes)]
     tasks = []
     for shard in range(plan.n_shards):
@@ -291,7 +308,7 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
         events = [workload.events[i] for i in indices]
         node_seq = [node_names[plan.assignment[i]] for i in indices]
         tasks.append((spec, workload, shard, plan.node_groups[shard],
-                      events, node_seq, warmup, obs_level))
+                      events, node_seq, warmup, obs_level, remaps[shard]))
     # One worker per shard.  ``_shard_worker`` is looked up at call time,
     # so a wrapped worker (instrumentation, fault tests) is the one sent.
     try:
@@ -322,12 +339,8 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
     tracer = None
     span_merge: Optional[str] = None
     if obs_level == "spans":
-        from repro.obs.merge import (SpanMergeError, merge_shard_tracers,
-                                     shard_remaps)
-        remaps = shard_remaps([e.time for e in workload.events], plan)
         try:
-            tracer = merge_shard_tracers(
-                [o.tracer for o in outcomes], remaps)
+            tracer = merge_shard_tracers([o.trace for o in outcomes])
             span_merge = "merged"
         except SpanMergeError as exc:
             # The merge invariants should hold for every eligible plan;

@@ -65,6 +65,38 @@ def test_registry_counts_match_recorder(w2_spans):
     assert attaches > 0
 
 
+def test_mmt_attach_pool_label_matches_vma_walk():
+    """The attach span's pool label comes from the template's layout and
+    equals a walk over its VMAs, before and after a VMA gains a pool."""
+    import numpy as np
+
+    from repro.core.mm_template import MMTemplateRegistry
+    from repro.mem.address_space import PROT_READ, PROT_WRITE
+    from repro.mem.pools import CXLPool, DedupStore
+    from repro.obs.observer import Observability
+    from repro.sim.engine import Simulator
+
+    def walk(template):
+        return ",".join(sorted({v.pool.name for v in template.vmas
+                                if v.pool is not None})) or "local"
+
+    registry = MMTemplateRegistry(Simulator())
+    store = DedupStore(CXLPool(GB))
+    template = registry.mmt_create("fn")
+    registry.mmt_add_map(template, "text", 4, PROT_READ)
+    registry.mmt_add_map(template, "heap", 4, PROT_READ | PROT_WRITE)
+    obs = Observability("spans")
+    ctx = obs.tracer.begin("fn", 0.0)
+    obs.tracer.bind(ctx, "node0")
+    obs.on_mmt_attach(template, 0.0, 1.0, ctx)
+    before = walk(template)
+    registry.mmt_setup_pt(template, "heap", store.store_image(np.arange(4)))
+    obs.on_mmt_attach(template, 1.0, 2.0, ctx)
+    labels = [s[7]["pool"] for s in obs.tracer.spans]
+    assert labels == [before, walk(template)]
+    assert labels[0] == "local" and labels[1] != "local"
+
+
 def test_criu_platform_emits_restore_spans():
     wl = make_w2_diurnal(seed=1, duration=60.0, mean_rate=1.6,
                          soft_cap_bytes=5 * GB)

@@ -19,6 +19,95 @@ def test_render_key_sorted_labels():
     assert render_key(("plain", ())) == "plain"
 
 
+def test_key_resolution_matches_per_call_labels():
+    reg = MetricsRegistry()
+    reg.inc("hits", node=3, zone="a")
+    reg.inc("hits", zone="a", node="3")
+    reg.inc("hits", node="3", zone="a")
+    assert reg.totals() == {'hits{node="3",zone="a"}': 3.0}
+    key = reg.key("hits", zone="a", node=3)
+    assert key == ("hits", (("node", "3"), ("zone", "a")))
+    reg.inc_key(key, 2.0)
+    assert reg.counter("hits", node=3, zone="a") == 5.0
+
+
+def test_key_memo_keeps_equal_hashing_values_apart():
+    # 1, True and 1.0 hash equal; they must stay three series.
+    reg = MetricsRegistry()
+    for _ in range(2):
+        for value in (1, True, 1.0):
+            reg.inc("flag", a=value)
+    assert reg.totals() == {'flag{a="1"}': 2.0, 'flag{a="1.0"}': 2.0,
+                            'flag{a="True"}': 2.0}
+    # 0.0 == -0.0 with one type, but they render as two series.
+    reg.inc("zero", a=0.0)
+    reg.inc("zero", a=-0.0)
+    assert reg.counter("zero", a=-0.0) == 1.0
+    # Unhashable values resolve without the memo.
+    reg.inc("listed", a=[1])
+    assert reg.totals()['listed{a="[1]"}'] == 1.0
+
+
+#: (method, name, value, labels): reordered kwargs and mixed value types.
+_CALLS = [
+    ("inc", "hits_total", 1.0, {"node": 3, "zone": "a"}),
+    ("inc", "hits_total", 2.0, {"zone": "a", "node": "3"}),
+    ("inc", "flag_total", 1.0, {"a": 1}),
+    ("inc", "flag_total", 1.0, {"a": True}),
+    ("inc", "flag_total", 1.0, {"a": 1.0}),
+    ("add_gauge", "level_bytes", 5.0, {"category": "anon"}),
+    ("add_gauge", "level_bytes", -2.0, {"category": "anon"}),
+    ("set_gauge", "depth", 4.0, {}),
+    ("observe", "lat_seconds", 0.01, {"phase": "e2e", "platform": "t-cxl"}),
+    ("observe", "lat_seconds", 0.02, {"platform": "t-cxl", "phase": "e2e"}),
+]
+
+#: prometheus_text() of _CALLS fed twice, as resolving every call's
+#: labels afresh (sort, then str each value) renders it.
+_CALLS_TEXT = """\
+# HELP flag_total flag (repro.obs)
+# TYPE flag_total counter
+flag_total{a="1"} 2
+flag_total{a="1.0"} 2
+flag_total{a="True"} 2
+# HELP hits_total hits (repro.obs)
+# TYPE hits_total counter
+hits_total{node="3",zone="a"} 6
+# HELP depth depth (repro.obs)
+# TYPE depth gauge
+depth 4
+# HELP level_bytes level (repro.obs)
+# TYPE level_bytes gauge
+level_bytes{category="anon"} 6
+# HELP lat_seconds lat (repro.obs)
+# TYPE lat_seconds histogram
+lat_seconds_bucket{phase="e2e",platform="t-cxl",le="0.0101815172"} 2
+lat_seconds_bucket{phase="e2e",platform="t-cxl",le="0.0201691455"} 4
+lat_seconds_bucket{phase="e2e",platform="t-cxl",le="+Inf"} 4
+lat_seconds_sum{phase="e2e",platform="t-cxl"} 0.06
+lat_seconds_count{phase="e2e",platform="t-cxl"} 4
+"""
+
+
+def test_memoized_keys_export_byte_identical():
+    def feed(reg, cold):
+        for _ in range(2):
+            for method, name, value, labels in _CALLS:
+                if cold:
+                    reg._keys.clear()
+                getattr(reg, method)(name, value, **labels)
+        return reg
+
+    warm = feed(MetricsRegistry(), cold=False)
+    cold = feed(MetricsRegistry(), cold=True)
+    assert warm.prometheus_text() == cold.prometheus_text() == _CALLS_TEXT
+    assert warm.to_dict() == cold.to_dict()
+    assert [c[:2] for c in warm.to_dict()["counters"]] == [
+        ["flag_total", [("a", "1")]], ["flag_total", [("a", "1.0")]],
+        ["flag_total", [("a", "True")]],
+        ["hits_total", [("node", "3"), ("zone", "a")]]]
+
+
 def test_gauges_and_histograms():
     reg = MetricsRegistry()
     reg.set_gauge("level", 5.0, node="n0")
