@@ -14,7 +14,8 @@ file through the same cache are free.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import hooks
 from repro.mem.layout import PAGE_SIZE, pages_for_bytes
@@ -27,10 +28,11 @@ class PageCache:
     def __init__(self, name: str = "",
                  on_delta: Optional[Callable[[int], None]] = None):
         self.name = name
-        # Per-file block sets: charge/evict are C-speed set operations on
-        # the one file touched instead of Python loops over every cached
-        # (file, block) pair in the node.
-        self._files: Dict[int, Set[int]] = {}
+        # Per file, the cached blocks as a sorted list of disjoint,
+        # non-adjacent ``(first, end)`` runs.  Files are read as whole
+        # ranges, so a file is almost always one run and charging it
+        # again costs a bisect, not a pass over its blocks.
+        self._files: Dict[int, List[Tuple[int, int]]] = {}
         self.on_delta = on_delta
         self.hits = 0
         self.misses = 0
@@ -39,15 +41,10 @@ class PageCache:
         """Cache a file range; returns pages newly inserted (misses)."""
         first = offset // PAGE_SIZE
         count = pages_for_bytes(nbytes)
-        wanted = range(first, first + count)
-        cached = self._files.get(file_id)
-        if cached is None:
-            cached = self._files[file_id] = set()
-        # Order-free insert: size delta counts the misses without ever
-        # iterating the set, so no ordering can leak into results.
-        before = len(cached)
-        cached.update(wanted)
-        fresh = len(cached) - before
+        runs = self._files.get(file_id)
+        if runs is None:
+            runs = self._files[file_id] = []
+        fresh = _cover(runs, first, first + count)
         self.hits += count - fresh
         self.misses += fresh
         if fresh and self.on_delta is not None:
@@ -60,16 +57,16 @@ class PageCache:
 
     def evict_file(self, file_id: int) -> int:
         """Drop every cached block of ``file_id``; returns pages freed."""
-        victims = self._files.pop(file_id, None)
-        if not victims:
+        freed = _length(self._files.pop(file_id, ()))
+        if not freed:
             return 0
         if self.on_delta is not None:
-            self.on_delta(-len(victims))
+            self.on_delta(-freed)
         if hooks.active is not None:
-            hooks.active.on_page_cache_delta(self, -len(victims))
+            hooks.active.on_page_cache_delta(self, -freed)
         if obs_hooks.active is not None:
-            obs_hooks.active.on_page_cache_delta(self, -len(victims))
-        return len(victims)
+            obs_hooks.active.on_page_cache_delta(self, -freed)
+        return freed
 
     def drop_all(self) -> int:
         """``echo 3 > drop_caches``; returns pages freed."""
@@ -85,11 +82,35 @@ class PageCache:
 
     @property
     def cached_pages(self) -> int:
-        return sum(len(blocks) for blocks in self._files.values())
+        return sum(_length(runs) for runs in self._files.values())
 
     @property
     def cached_bytes(self) -> int:
         return self.cached_pages * PAGE_SIZE
+
+
+def _length(runs: List[Tuple[int, int]]) -> int:
+    return sum(end - first for first, end in runs)
+
+
+def _cover(runs: List[Tuple[int, int]], first: int, end: int) -> int:
+    """Merge blocks ``[first, end)`` into ``runs`` in place; returns how
+    many of them were not cached before."""
+    if first >= end:
+        return 0
+    # runs[lo:hi] overlap or abut the range: the last run starting at or
+    # before ``first`` if it reaches ``first``, then every run starting
+    # in (first, end].
+    lo = bisect_left(runs, (first + 1,))
+    if lo and runs[lo - 1][1] >= first:
+        lo -= 1
+    hi = bisect_left(runs, (end + 1,), lo)
+    if lo < hi:
+        first = min(first, runs[lo][0])
+        end = max(end, runs[hi - 1][1])
+    before = _length(runs[lo:hi])
+    runs[lo:hi] = [(first, end)]
+    return end - first - before
 
 
 class FileIdRegistry:

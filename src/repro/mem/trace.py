@@ -34,7 +34,9 @@ class AccessTrace:
 
     @property
     def touched_pages(self) -> int:
-        return len(np.union1d(self.read_pages, self.write_pages))
+        touched = self._read_mask()
+        touched[self.write_pages] = True
+        return int(np.count_nonzero(touched))
 
     @property
     def distinct_reads(self) -> int:
@@ -47,13 +49,21 @@ class AccessTrace:
     @property
     def read_only_ratio(self) -> float:
         """Fraction of touched pages that are never written (Figure 10)."""
-        touched = self.touched_pages
-        if touched == 0:
+        touched = self._read_mask()
+        both = int(np.count_nonzero(touched[self.write_pages]))
+        touched[self.write_pages] = True
+        n_touched = int(np.count_nonzero(touched))
+        if n_touched == 0:
             return 0.0
-        both = len(np.intersect1d(self.write_pages, self.read_pages,
-                                  assume_unique=True))
-        only_read = len(self.read_pages) - both
-        return only_read / touched
+        return (len(self.read_pages) - both) / n_touched
+
+    def _read_mask(self) -> np.ndarray:
+        """A boolean mask up to the largest page, set at the read pages."""
+        top = max(self.read_pages.max(initial=-1),
+                  self.write_pages.max(initial=-1))
+        mask = np.zeros(int(top) + 1, dtype=bool)
+        mask[self.read_pages] = True
+        return mask
 
     @staticmethod
     def generate(rng: SeededRNG, total_pages: int, touch_fraction: float,
@@ -99,21 +109,34 @@ class AccessTrace:
             return AccessTrace(self.read_pages.copy(),
                                self.write_pages.copy(), self.read_loads,
                                writable_start=self.writable_start)
-        # Both page arrays are sorted and distinct, so every set operation
-        # below is a sort-merge (see _sorted_unique / _member_mask).
-        keep_idx = rng.sample_pages(len(self.read_pages),
-                                    len(self.read_pages) - n_swap)
-        kept = self.read_pages[np.sort(keep_idx)]
+        # Boolean masks make every set operation a scatter or a gather,
+        # linear in the trace: the keep mask over the base reads yields
+        # the kept pages already sorted, and the read mask over the image
+        # answers membership.  Every trace, and so every pinned digest,
+        # depends on the three RNG draws (keep indices, fresh pages,
+        # top-up picks) staying these calls in this order.
+        n_reads = len(self.read_pages)
+        keep = np.zeros(n_reads, dtype=bool)
+        keep[rng.sample_pages(n_reads, n_reads - n_swap)] = True
+        kept = self.read_pages[keep]
+        in_reads = np.zeros(total_pages, dtype=bool)
+        in_reads[kept] = True
         fresh = rng.sample_pages(total_pages, n_swap)
-        reads = _sorted_unique(np.concatenate([kept, fresh]))
+        fresh = fresh[~in_reads[fresh]]
+        in_reads[fresh] = True
+        # A sorted run plus a few fresh pages: the stable sort (timsort)
+        # merges them in one pass, where a scan of the image mask would
+        # cost per image page, not per read.
+        reads = np.concatenate([kept, fresh])
+        reads.sort(kind="stable")
         # Writes: keep those still read, top up from the new reads to
         # preserve the write fraction (never below writable_start).
-        writes = self.write_pages[_member_mask(self.write_pages, reads)]
+        writes = self.write_pages[in_reads[self.write_pages]]
         deficit = len(self.write_pages) - len(writes)
         if deficit > 0:
-            candidates = reads[~_member_mask(reads, writes)]
-            candidates = candidates[np.searchsorted(
-                candidates, self.writable_start):]
+            in_reads[writes] = False
+            in_reads[:self.writable_start] = False
+            candidates = reads[in_reads[reads]]
             if len(candidates):
                 extra = candidates[rng.sample_pages(
                     len(candidates), min(deficit, len(candidates)))]
@@ -140,28 +163,3 @@ class AccessTrace:
                            read_loads=int(self.read_loads * fraction),
                            writable_start=self.writable_start)
 
-
-# numpy >= 2.3 answers np.unique, and the set operations that call it
-# (union1d; intersect1d and setdiff1d without assume_unique), with a hash
-# table, which costs far more than a merge when the inputs are already
-# sorted.  Traces keep their page arrays sorted and distinct, so jitter
-# uses these instead.
-
-def _sorted_unique(pages: np.ndarray) -> np.ndarray:
-    """``np.unique(pages)`` by sort plus adjacent-difference dedupe."""
-    pages.sort()
-    if len(pages) < 2:
-        return pages
-    keep = np.empty(len(pages), dtype=bool)
-    keep[0] = True
-    np.not_equal(pages[1:], pages[:-1], out=keep[1:])
-    return pages[keep]
-
-
-def _member_mask(pages: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
-    """Per element of ``pages``: is it in the sorted array ``sorted_set``?"""
-    if len(sorted_set) == 0:
-        return np.zeros(len(pages), dtype=bool)
-    pos = np.searchsorted(sorted_set, pages)
-    pos[pos == len(sorted_set)] = 0
-    return sorted_set[pos] == pages

@@ -38,7 +38,7 @@ _FUNC_SPACE = 1 << 44
 #: in practice (callers only read them or derive jittered copies).
 #: Bounded LRU via :func:`repro.workloads.cache.memoized`.
 #: Per-invocation jittered traces are not memoised: their keys never
-#: repeat within a run, and a miss costs one RNG fork plus a sort-merge.
+#: repeat within a run, and a miss costs one RNG fork plus a few masks.
 _BASE_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
 
 #: Bound of :data:`_BASE_TRACE_CACHE`.  Every node of a rack draws from its

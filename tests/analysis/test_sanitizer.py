@@ -118,7 +118,7 @@ def test_page_cache_balance_detected():
     with pytest.raises(SanitizerError) as excinfo:
         with sanitized():
             cache.charge_file(1, 8 * 4096)
-            cache._files[1].add(10_000)   # uncounted insertion
+            cache._files[1].append((10_000, 10_001))  # uncounted run
     assert invariants(excinfo) == {INV_PAGE_CACHE_BALANCE}
 
 

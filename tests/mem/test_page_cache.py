@@ -1,7 +1,10 @@
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.mem.layout import PAGE_SIZE
+from repro.analysis import hooks
+from repro.mem.layout import PAGE_SIZE, pages_for_bytes
 from repro.mem.page_cache import FileIdRegistry, PageCache
+from repro.obs import hooks as obs_hooks
 
 
 def test_charge_file_counts_pages():
@@ -70,3 +73,138 @@ def test_file_id_registry_stable():
     c = reg.file_id("base-image", "node")
     assert a == b
     assert a != c
+
+
+# -- property: the run-list cache against the per-file set model it replaced --
+
+
+class SetPageCache:
+    """The per-file block-set cache: every block a set member."""
+
+    def __init__(self, name, on_delta):
+        self.name = name
+        self._files = {}
+        self.on_delta = on_delta
+        self.hits = 0
+        self.misses = 0
+
+    def _delta(self, delta):
+        self.on_delta(delta)
+        if hooks.active is not None:
+            hooks.active.on_page_cache_delta(self, delta)
+        if obs_hooks.active is not None:
+            obs_hooks.active.on_page_cache_delta(self, delta)
+
+    def charge_file(self, file_id, nbytes, offset=0):
+        first = offset // PAGE_SIZE
+        count = pages_for_bytes(nbytes)
+        cached = self._files.setdefault(file_id, set())
+        before = len(cached)
+        cached.update(range(first, first + count))
+        fresh = len(cached) - before
+        self.hits += count - fresh
+        self.misses += fresh
+        if fresh:
+            self._delta(fresh)
+        return fresh
+
+    def evict_file(self, file_id):
+        victims = self._files.pop(file_id, None)
+        if not victims:
+            return 0
+        self._delta(-len(victims))
+        return len(victims)
+
+    def drop_all(self):
+        freed = self.cached_pages
+        self._files.clear()
+        if freed:
+            self._delta(-freed)
+        return freed
+
+    @property
+    def cached_pages(self):
+        return sum(len(blocks) for blocks in self._files.values())
+
+    @property
+    def cached_bytes(self):
+        return self.cached_pages * PAGE_SIZE
+
+
+class DeltaRecorder:
+    """Records page-cache hook deltas and forwards them to whatever was
+    installed before (the sanitizer or observer of a wrapped run)."""
+
+    def __init__(self, previous):
+        self.previous = previous
+        self.deltas = []
+
+    def __getattr__(self, name):
+        if not name.startswith("on_"):
+            raise AttributeError(name)
+
+        def hook(*args):
+            if name == "on_page_cache_delta":
+                self.deltas.append(args[1])
+            if self.previous is not None:
+                getattr(self.previous, name)(*args)
+        return hook
+
+
+def run_ops(cache, ops):
+    san = DeltaRecorder(hooks.active)
+    obs = DeltaRecorder(obs_hooks.active)
+    prev_san = hooks.install(san)
+    prev_obs = obs_hooks.install(obs)
+    results = []
+    try:
+        for op in ops:
+            if op[0] == "charge":
+                results.append(cache.charge_file(*op[1:]))
+            elif op[0] == "evict":
+                results.append(cache.evict_file(op[1]))
+            else:
+                results.append(cache.drop_all())
+            results.append((cache.hits, cache.misses, cache.cached_pages,
+                            cache.cached_bytes))
+    finally:
+        obs_hooks.uninstall(prev_obs)
+        hooks.uninstall(prev_san)
+    return results, san.deltas, obs.deltas
+
+
+def unaligned(max_pages):
+    """Byte counts of up to ``max_pages`` pages, mostly not page-aligned."""
+    return st.builds(lambda pages, rest: pages * PAGE_SIZE + rest,
+                     st.integers(0, max_pages),
+                     st.sampled_from([0, 1, PAGE_SIZE // 2, PAGE_SIZE - 1]))
+
+
+# Ranges inside a small window of a few files, so they leave gaps,
+# overlap, abut, nest and span several runs; zero-byte reads included.
+charges = st.tuples(st.just("charge"), st.integers(1, 2), unaligned(5),
+                    unaligned(8))
+cache_ops = st.lists(st.one_of(
+    charges, charges, charges, charges,
+    st.tuples(st.just("evict"), st.integers(1, 3)),
+    st.tuples(st.just("drop"))), min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cache_ops)
+# Pinned edges: a zero-byte read leaves an empty entry, then a missing
+# file is evicted; abutting ranges, then an unaligned one past them; a
+# range that joins two runs and ends inside the second.
+@example([("charge", 1, 0, 0), ("evict", 1), ("evict", 5)])
+@example([("charge", 1, 4 * PAGE_SIZE, 0), ("charge", 1, 4 * PAGE_SIZE,
+                                             4 * PAGE_SIZE),
+          ("charge", 1, 12 * PAGE_SIZE, 1), ("drop",)])
+@example([("charge", 2, 2 * PAGE_SIZE, 0), ("charge", 2, 4 * PAGE_SIZE,
+                                             4 * PAGE_SIZE),
+          ("charge", 2, 4 * PAGE_SIZE, PAGE_SIZE)])
+def test_run_list_matches_block_set_model(ops):
+    got_deltas, want_deltas = [], []
+    got = run_ops(PageCache("runs", on_delta=got_deltas.append), ops)
+    want = run_ops(SetPageCache("sets", want_deltas.append), ops)
+    assert got == want
+    assert got_deltas == want_deltas
