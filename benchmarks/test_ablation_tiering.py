@@ -33,7 +33,7 @@ def run_tiering_ablation(function="IR"):
         space = AddressSpace("x")
 
         def proc():
-            yield registry.mmt_attach(template, space)
+            yield from registry.mmt_attach(template, space)
 
         sim.run_process(proc())
         outcome = space.access(trace.read_pages, trace.write_pages,

@@ -102,7 +102,7 @@ class AgentPlatform:
 
     def _sandbox_setup(self) -> Generator:
         """Timed: isolation shell around the VMM."""
-        yield self.hypervisor.create_jailer_sandbox()
+        yield from self.hypervisor.create_jailer_sandbox()
 
     def _snapshot_bytes(self, spec: AgentSpec) -> int:
         return min(spec.mem_bytes, _RESTORE_WS_CAP_BYTES)
@@ -148,14 +148,14 @@ class AgentPlatform:
         arrival = node.now if arrival is None else arrival
         t0 = node.now
         yield Delay(SESSION_INIT)
-        yield self._sandbox_setup()
-        vm = yield self.hypervisor.spawn_vm(
+        yield from self._sandbox_setup()
+        vm = yield from self.hypervisor.spawn_vm(
             GuestConfig(vcpus=1, mem_bytes=spec.vm_mem_bytes,
                         storage=self.storage),
             name=f"{self.name}-{spec.name}")
-        yield self.hypervisor.restore_snapshot(
+        yield from self.hypervisor.restore_snapshot(
             vm, self._snapshot_bytes(spec), self.restore_mode)
-        ept = yield self._guest_restore(vm, spec)
+        ept = yield from self._guest_restore(vm, spec)
         startup = node.now - t0
 
         workflow = AgentWorkflow(spec)
@@ -164,12 +164,12 @@ class AgentPlatform:
         # per agent VM, §9.6 configurations).
         from repro.sim.cpu import VCPUQuota
         quota = VCPUQuota(node.cpu, vm.config.vcpus)
-        active, llm_wait = yield workflow.run(quota, self.llm, vm,
-                                              self.browsers)
+        active, llm_wait = yield from workflow.run(quota, self.llm, vm,
+                                                   self.browsers)
         e2e = node.now - t1
 
         ept.release_local()  # on_local_delta hook uncharges node.memory
-        yield self._teardown(vm)
+        yield from self._teardown(vm)
         self.sessions += 1
         result = AgentResult(agent=spec.name, startup=startup, e2e=e2e,
                              active_time=active, llm_wait=llm_wait,
@@ -178,7 +178,7 @@ class AgentPlatform:
         return result
 
     def _teardown(self, vm: MicroVM) -> Generator:
-        yield self.hypervisor.destroy_vm(vm)
+        yield from self.hypervisor.destroy_vm(vm)
 
 
 def _to_invocation(result: AgentResult):
@@ -209,7 +209,7 @@ class E2BPlatform(AgentPlatform):
             # creation, plus ~63 ms cgroup migration.
             contention = lat.ns.netns_per_concurrent * (self._setups_in_flight - 1)
             yield Delay(min(lat.vm.net_setup_e2b + contention, lat.ns.netns_max))
-            yield self.node.cgroups.create("e2b-jail")
+            yield from self.node.cgroups.create("e2b-jail")
             yield Delay(lat.vm.cgroup_migrate_e2b)
         finally:
             self._setups_in_flight -= 1
@@ -280,18 +280,18 @@ class TrEnvVMPlatform(AgentPlatform):
             # Repurpose a pooled jailer: overlay swap + cgroup limits.
             self._jailer_pool -= 1
             yield Delay(node.latency.rootfs.reconfig_mount * 2)
-            yield node.cgroups.clone_into(0, _dummy_cgroup())
+            yield from node.cgroups.clone_into(0, _dummy_cgroup())
         else:
-            yield node.namespaces.create_netns()
-            yield node.cgroups.create("trenv-jail")
-            yield node.cgroups.clone_into(0, _dummy_cgroup())
+            yield from node.namespaces.create_netns()
+            yield from node.cgroups.create("trenv-jail")
+            yield from node.cgroups.clone_into(0, _dummy_cgroup())
 
     def _make_snapshot_pool(self):
         # Agent snapshots live on the rack's CXL pool, directly mapped.
         return CXLPool(256 * GB, self.node.latency)
 
     def _teardown(self, vm: MicroVM) -> Generator:
-        yield self.hypervisor.destroy_vm(vm)
+        yield from self.hypervisor.destroy_vm(vm)
         self._jailer_pool += 1
 
 

@@ -205,7 +205,7 @@ class GraphExecutor:
                 if self.on_tool is not None:
                     yield from self.on_tool(next(self._tool_seq))
             elif node.kind == "llm":
-                yield self.llm.call(graph.spec, node.llm_call)
+                yield from self.llm.call(graph.spec, node.llm_call)
             self.executed.append(node_id)
             for child in node.children:
                 pending[child] -= 1

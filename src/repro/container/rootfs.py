@@ -54,13 +54,13 @@ class RootfsBuilder:
         base = OverlayFS(("os-base",), label="base")
         for path, fstype in _COLD_MOUNTPOINTS:
             fs = base if fstype == "overlay" else SimpleFS(fstype)
-            yield table.mount(path, fs)
+            yield from table.mount(path, fs)
         for node in _DEVICE_NODES:
-            yield table.mknod(node)
+            yield from table.mknod(node)
         fn_overlay = OverlayFS(("os-base", f"deps-{function}"),
                                label=f"fn-{function}")
-        yield table.mount(FUNCTION_MOUNTPOINT, fn_overlay)
-        yield table.pivot_root()
+        yield from table.mount(FUNCTION_MOUNTPOINT, fn_overlay)
+        yield from table.pivot_root()
         return base, fn_overlay
 
     def swap_function_overlay(self, table: MountTable,
@@ -73,11 +73,11 @@ class RootfsBuilder:
         """
         old = None
         if table.mount_depth(FUNCTION_MOUNTPOINT) > 0:
-            old = yield table.umount(FUNCTION_MOUNTPOINT)
-        yield table.mount(FUNCTION_MOUNTPOINT, new_overlay, fast=True)
+            old = yield from table.umount(FUNCTION_MOUNTPOINT)
+        yield from table.mount(FUNCTION_MOUNTPOINT, new_overlay, fast=True)
         # /proc must be remounted for the new pid view (the second of the
         # "only 2 mounts" §5.2.1 mentions).
-        yield table.mount("/proc", SimpleFS("proc"), fast=True)
+        yield from table.mount("/proc", SimpleFS("proc"), fast=True)
         return old
 
 

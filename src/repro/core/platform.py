@@ -93,8 +93,8 @@ class TrEnvPlatform(ServerlessPlatform):
         if self.config.reconfig:
             sandbox = self.sandbox_pool.take()
             if sandbox is not None:
-                proc, degraded = yield self._do_repurpose(sandbox, profile,
-                                                          ctx)
+                proc, degraded = yield from self._do_repurpose(
+                    sandbox, profile, ctx)
                 inst = Instance(profile, proc.address_space, payload=sandbox)
                 inst.degraded_start = degraded
                 return inst, "repurposed"
@@ -103,19 +103,19 @@ class TrEnvPlatform(ServerlessPlatform):
                 self.warm.remove(victim)
                 sandbox = victim.payload
                 victim.retired = True
-                yield self.repurposer.cleanse(sandbox)
-                proc, degraded = yield self._do_repurpose(sandbox, profile,
-                                                          ctx)
+                yield from self.repurposer.cleanse(sandbox)
+                proc, degraded = yield from self._do_repurpose(
+                    sandbox, profile, ctx)
                 inst = Instance(profile, proc.address_space, payload=sandbox)
                 inst.degraded_start = degraded
                 return inst, "repurposed"
-        inst = yield self._cold_start(profile, ctx)
+        inst = yield from self._cold_start(profile, ctx)
         return inst, "cold"
 
     def _do_repurpose(self, sandbox: ContainerSandbox,
                       profile: FunctionProfile, ctx=None) -> Generator:
         template, degraded = self._usable_template(profile)
-        proc = yield self.repurposer.repurpose(
+        proc = yield from self.repurposer.repurpose(
             sandbox, profile, self.images[profile.name], template, ctx=ctx)
         return proc, degraded
 
@@ -136,7 +136,7 @@ class TrEnvPlatform(ServerlessPlatform):
     def _cold_start(self, profile: FunctionProfile, ctx=None) -> Generator:
         """Sandbox built from scratch; memory still via template/restore."""
         node = self.node
-        sandbox = yield self.runtime.create_sandbox_cold(
+        sandbox = yield from self.runtime.create_sandbox_cold(
             profile.name, clone_into_cgroup=self.config.clone_into_cgroup)
         image = self.images[profile.name]
         hook = node.memory.page_delta_hook("function-anon")
@@ -145,13 +145,13 @@ class TrEnvPlatform(ServerlessPlatform):
             from repro.mem.address_space import AddressSpace
             space = AddressSpace(f"{profile.name}@{sandbox.sandbox_id}",
                                  on_local_delta=hook)
-            proc = yield node.procs.spawn(
+            proc = yield from node.procs.spawn(
                 profile.name, address_space=space, cgroup=sandbox.cgroup,
                 into_cgroup=self.config.clone_into_cgroup)
-            yield node.criu.restore_process_state(proc, image, ctx=ctx)
-            yield self.registry.mmt_attach(template, space, ctx=ctx)
+            yield from node.criu.restore_process_state(proc, image, ctx=ctx)
+            yield from self.registry.mmt_attach(template, space, ctx=ctx)
         else:
-            proc = yield node.criu.restore_full(
+            proc = yield from node.criu.restore_full(
                 image, f"{profile.name}@{sandbox.sandbox_id}",
                 on_local_delta=hook, ctx=ctx)
         sandbox.processes.append(proc)
@@ -166,8 +166,8 @@ class TrEnvPlatform(ServerlessPlatform):
         if (self.config.sequential_isolation
                 and self.config.mm_template
                 and inst.function in self.templates):
-            yield self._rollback_memory(inst)
-        yield super()._recycle(inst)
+            yield from self._rollback_memory(inst)
+        yield from super()._recycle(inst)
 
     def _rollback_memory(self, inst: Instance) -> Generator:
         """Restore the instance's memory to the pristine template state.
@@ -181,8 +181,8 @@ class TrEnvPlatform(ServerlessPlatform):
         hook = old_space.on_local_delta
         old_space.destroy()
         fresh = AddressSpace(old_space.name, on_local_delta=hook)
-        yield self.registry.mmt_attach(self.templates[inst.function], fresh,
-                                       ctx=inst.obs_ctx)
+        yield from self.registry.mmt_attach(
+            self.templates[inst.function], fresh, ctx=inst.obs_ctx)
         inst.space = fresh
         # Keep the process view coherent: swap the AS on the live proc.
         sandbox: ContainerSandbox = inst.payload
@@ -196,11 +196,11 @@ class TrEnvPlatform(ServerlessPlatform):
         inst.retired = True
         sandbox: ContainerSandbox = inst.payload
         if self.config.reconfig:
-            yield self.repurposer.cleanse(sandbox)
+            yield from self.repurposer.cleanse(sandbox)
             if not self.sandbox_pool.put(sandbox):
-                yield self.runtime.destroy_sandbox(sandbox)
+                yield from self.runtime.destroy_sandbox(sandbox)
         else:
-            yield self.runtime.destroy_sandbox(sandbox)
+            yield from self.runtime.destroy_sandbox(sandbox)
 
     # -- crash ---------------------------------------------------------------------------------
 

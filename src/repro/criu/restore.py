@@ -83,9 +83,9 @@ class CRIUEngine:
         self.stats.bytes_copied += image.nbytes
         space.populate_all_local()
         # Step 3: restore the process shell, threads, fds, sockets.
-        proc = yield self.procs.spawn(name or image.function,
-                                      address_space=space)
-        yield self.restore_process_state(proc, image, ctx=ctx)
+        proc = yield from self.procs.spawn(name or image.function,
+                                           address_space=space)
+        yield from self.restore_process_state(proc, image, ctx=ctx)
         self.stats.full_restores += 1
         act = obs_hooks.active
         if act is not None:
@@ -101,7 +101,7 @@ class CRIUEngine:
                 + lat.proc.criu_misc_per_thread * (image.n_threads - 1)
                 + lat.proc.criu_misc_per_fd * image.n_fds)
         yield Delay(misc)
-        yield self.procs.clone_threads(proc, image.n_threads - 1)
+        yield from self.procs.clone_threads(proc, image.n_threads - 1)
         for i in range(image.n_fds):
             proc.open_fd(f"restored-fd-{i}")
         self.stats.threads_restored += image.n_threads - 1

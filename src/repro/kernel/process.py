@@ -81,9 +81,9 @@ class ProcessTable:
             if self.cgroups is None:
                 raise RuntimeError("no CgroupManager wired into ProcessTable")
             if into_cgroup:
-                yield self.cgroups.clone_into(proc.pid, cgroup)
+                yield from self.cgroups.clone_into(proc.pid, cgroup)
             else:
-                yield self.cgroups.migrate(proc.pid, cgroup)
+                yield from self.cgroups.migrate(proc.pid, cgroup)
             proc.cgroup = cgroup
         return proc
 
@@ -105,11 +105,11 @@ class ProcessTable:
             self.procs.pop(proc.pid, None)
         for child in proc.children:
             if child.alive:
-                yield self.kill(child)
+                yield from self.kill(child)
 
     def kill_tree(self, root: Process) -> Generator:
         """Timed: kill a process and every descendant (sandbox cleanse)."""
-        yield self.kill(root)
+        yield from self.kill(root)
 
     @property
     def live_count(self) -> int:

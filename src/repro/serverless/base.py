@@ -294,30 +294,30 @@ class ServerlessPlatform:
             ctx = None   # stale context from a since-removed observer
         inst: Optional[Instance] = None
         try:
-            yield self._admit(function, ctx)
+            yield from self._admit(function, ctx)
             queue_wait = self.node.now - t0
             t_acquire = self.node.now
             inst = self.warm.take(function)
             if inst is not None:
                 kind = "warm"
                 inst.obs_ctx = ctx
-                yield self._warm_resume(inst)
+                yield from self._warm_resume(inst)
                 if tracer is not None:
                     tracer.span(ctx, "warm_hit", t_acquire, self.node.now)
             else:
-                inst, kind = yield self._acquire(profile, ctx)
+                inst, kind = yield from self._acquire(profile, ctx)
                 inst.obs_ctx = ctx
                 if tracer is not None:
                     tracer.span(ctx, "acquire", t_acquire, self.node.now,
                                 args={"kind": kind})
             startup = self.node.now - t_acquire
             t1 = self.node.now
-            retries, degraded = yield self.execute(inst, profile, inv_idx)
+            retries, degraded = yield from self.execute(inst, profile, inv_idx)
             exec_lat = self.node.now - t1
             inst.last_used = self.node.now
             inst.invocations += 1
             t_teardown = self.node.now
-            yield self._recycle(inst)
+            yield from self._recycle(inst)
             if tracer is not None:
                 tracer.span(ctx, "teardown", t_teardown, self.node.now)
             self._release(function, ctx)

@@ -445,9 +445,9 @@ class Cluster:
                                         args={"node": key,
                                               "attempt": _attempt})
                     try:
-                        yield platform.invoke(event.function,
-                                              arrival=event.time,
-                                              ctx=ctx)
+                        yield from platform.invoke(event.function,
+                                                   arrival=event.time,
+                                                   ctx=ctx)
                         return
                     except NodeCrashedError:
                         excluded.add(key)
@@ -585,7 +585,7 @@ class Cluster:
                         if att_deadline is not None and att_deadline > now:
                             self._arm_attempt_watchdog(slot, att_deadline)
                         try:
-                            result = yield platform.invoke(
+                            result = yield from platform.invoke(
                                 event.function, arrival=event.time, ctx=ctx)
                             plane.observe_attempt(key, sim.now, True,
                                                   sim.now - now)

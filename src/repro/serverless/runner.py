@@ -71,15 +71,15 @@ def run_workload(platform: ServerlessPlatform, workload: Workload,
         obs = obs_hooks.active
         tracer = obs.tracer if obs is not None else None
         if tracer is None:
-            yield platform.invoke(event.function, arrival=event.time)
+            yield from platform.invoke(event.function, arrival=event.time)
             return
         ctx = tracer.begin(event.function, node.now)
         tracer.bind(ctx, node.name)
         tracer.span(ctx, "dispatch", node.now, node.now,
                     args={"node": node.name})
         try:
-            yield platform.invoke(event.function, arrival=event.time,
-                                  ctx=ctx)
+            yield from platform.invoke(event.function, arrival=event.time,
+                                       ctx=ctx)
         finally:
             tracer.finish(ctx, node.now)
 

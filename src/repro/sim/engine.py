@@ -5,8 +5,13 @@ Processes are Python generators that yield *commands*:
 * ``Delay(dt)`` — suspend for ``dt`` simulated seconds.
 * ``Event`` — suspend until the event is triggered; the event's payload is
   sent back into the generator.
-* another generator — run it as a sub-process and resume with its return
-  value (the classic "process call" composition).
+* ``Waiter`` — suspend until the spawned process finishes; its return
+  value is sent back (its exception is raised).
+
+A process calls a sub-process with ``value = yield from child()``:
+CPython runs the delegation, so an interrupt thrown into the task lands
+in the innermost frame and unwinds outwards.  Plain ``yield`` is only
+for the three commands above.
 
 The engine is deterministic: ties in the event queue are broken by a
 monotonically increasing sequence number, so two runs with the same seeds
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from types import GeneratorType
 from typing import (Any, Callable, Dict, Generator, Iterable, List,
                     Optional, Tuple)
 
@@ -127,7 +133,7 @@ class _Task:
     """Internal driver for one process generator."""
 
     __slots__ = ("sim", "gen", "finished", "result", "error", "_done_event",
-                 "_waiting_on", "_stack", "name", "_epoch")
+                 "_waiting_on", "name", "_epoch")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -143,9 +149,6 @@ class _Task:
         # allocation overhead on the spawn hot path.
         self._done_event: Optional[Event] = None
         self._waiting_on: Optional[Event] = None
-        # Stack of suspended parent generators (sub-process calls);
-        # allocated on first use — flat processes never need it.
-        self._stack: Optional[List[Generator]] = None
         # Bumped by interrupt() to invalidate queue entries scheduled
         # before the interrupt (e.g. a pending Delay wake-up) — without
         # this, an interrupted sleeper would get a spurious second wake.
@@ -177,18 +180,9 @@ class _Task:
                 else:
                     cmd = self.gen.send(send_value)
             except StopIteration as stop:
-                value = stop.value
-                if self._stack:
-                    self.gen = self._stack.pop()
-                    send_value = value
-                    continue
-                self._finish(result=value)
+                self._finish(result=stop.value)
                 return
-            except BaseException as exc:  # noqa: BLE001 - propagate to parent
-                if self._stack:
-                    self.gen = self._stack.pop()
-                    send_value = _Raise(exc)
-                    continue
+            except BaseException as exc:  # noqa: BLE001 - surface via waiter
                 self._finish(error=exc)
                 return
 
@@ -206,16 +200,10 @@ class _Task:
                 self._waiting_on = cmd.done_event
                 cmd.done_event.add_waiter(self)
                 return
-            if _is_generator(cmd):
-                stack = self._stack
-                if stack is None:
-                    stack = self._stack = []
-                stack.append(self.gen)
-                self.gen = cmd
-                send_value = None
-                continue
             label = self.name or getattr(self.gen, "__name__", "proc")
-            raise SimulationError(f"process {label} yielded {cmd!r}")
+            hint = ("; compose sub-processes with `yield from`"
+                    if isinstance(cmd, GeneratorType) else "")
+            raise SimulationError(f"process {label} yielded {cmd!r}{hint}")
 
     @property
     def done_event(self) -> Event:
@@ -243,6 +231,8 @@ class _Task:
 
 
 class _Raise:
+    """A finished process's exception, delivered to whoever waits on it."""
+
     __slots__ = ("error",)
 
     def __init__(self, error: BaseException):
@@ -253,10 +243,6 @@ def _result_or_raise(waiter: Waiter) -> Any:
     if waiter.task.error is not None:
         return _Raise(waiter.task.error)
     return waiter.task.result
-
-
-def _is_generator(obj: Any) -> bool:
-    return hasattr(obj, "send") and hasattr(obj, "throw")
 
 
 class Simulator:
@@ -343,9 +329,9 @@ class Simulator:
         """Drain events; stop at ``until`` (simulated seconds) if given.
 
         When ``until`` is given the clock ends at ``until`` even if the
-        last event lands earlier.  The loop body is :meth:`_peek_time`
-        + :meth:`_step` fused: at trace scale the call chain itself is
-        measurable.
+        last event lands earlier.  The loop body is :meth:`_step` with
+        the ``until`` check fused in: at trace scale the call chain
+        itself is measurable.
         """
         queue = self._queue
         callbacks = self._callbacks
@@ -386,21 +372,11 @@ class Simulator:
         """Spawn ``gen`` and run until it completes; return its value."""
         waiter = self.spawn(gen, name=name)
         while not waiter.done:
-            if self._peek_time() is None:
+            if not self._queue and not self._callbacks:
                 raise SimulationError(
                     f"deadlock: process {name or 'proc'} never completed")
             self._step()
         return waiter.result
-
-    def _peek_time(self) -> Optional[float]:
-        queue = self._queue
-        callbacks = self._callbacks
-        if callbacks:
-            cb_time = callbacks[0][0]
-            if not queue or cb_time < queue[0][0]:
-                return cb_time
-            return queue[0][0]
-        return queue[0][0] if queue else None
 
     def _step(self) -> None:
         queue = self._queue

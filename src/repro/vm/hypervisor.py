@@ -61,14 +61,14 @@ class Hypervisor:
             if e2b_costs:
                 yield Delay(lat.vm.net_setup_e2b)
             else:
-                yield node.namespaces.create_netns()
-        cgroup = yield node.cgroups.create("jailer", CgroupLimits())
+                yield from node.namespaces.create_netns()
+        cgroup = yield from node.cgroups.create("jailer", CgroupLimits())
         if e2b_costs and not clone_into_cgroup:
             yield Delay(lat.vm.cgroup_migrate_e2b)
         elif clone_into_cgroup:
-            yield node.cgroups.clone_into(0, cgroup)
+            yield from node.cgroups.clone_into(0, cgroup)
         else:
-            yield node.cgroups.migrate(0, cgroup)
+            yield from node.cgroups.migrate(0, cgroup)
         return cgroup
 
     # -- VM lifecycle -----------------------------------------------------------------

@@ -12,7 +12,7 @@ def run_agent(platform_cls, agent="blackjack", cores=64, **kwargs):
     spec = agent_by_name(agent)
 
     def proc():
-        r = yield platform.run_agent(spec)
+        r = yield from platform.run_agent(spec)
         return r
 
     result = node.sim.run_process(proc())
@@ -47,7 +47,7 @@ class TestStartup:
             results = []
 
             def one():
-                r = yield platform.run_agent(spec)
+                r = yield from platform.run_agent(spec)
                 results.append(r)
 
             for _ in range(10):
@@ -112,7 +112,7 @@ class TestBrowserSharing:
             results = []
 
             def one():
-                r = yield platform.run_agent(spec)
+                r = yield from platform.run_agent(spec)
                 results.append(r)
 
             for _ in range(n):

@@ -30,7 +30,7 @@ def run_workflow(agent="bug-fixer", sharing=True, cores=8):
     workflow = AgentWorkflow(spec)
 
     def driver():
-        active, wait = yield workflow.run(node.cpu, llm, vm, browsers)
+        active, wait = yield from workflow.run(node.cpu, llm, vm, browsers)
         return active, wait
 
     active, wait = node.sim.run_process(driver())
@@ -72,7 +72,7 @@ class TestWorkflow:
         workflow = AgentWorkflow(spec)
 
         def driver():
-            yield workflow.run(node.cpu, ReplayLLMServer(), vm, None)
+            yield from workflow.run(node.cpu, ReplayLLMServer(), vm, None)
 
         with pytest.raises(ValueError):
             node.sim.run_process(driver())
@@ -85,7 +85,7 @@ class TestWorkflow:
         workflow = AgentWorkflow(spec)
 
         def driver():
-            yield workflow.run(node.cpu, ReplayLLMServer(), vm, browsers)
+            yield from workflow.run(node.cpu, ReplayLLMServer(), vm, browsers)
 
         node.sim.run_process(driver())
         assert browsers.browsers == []

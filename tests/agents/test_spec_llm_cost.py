@@ -81,7 +81,7 @@ class TestLLMTrace:
 
             def proc():
                 for i in range(spec.n_llm_calls):
-                    yield server.call(spec, i)
+                    yield from server.call(spec, i)
                 return sim.now
 
             return sim.run_process(proc())
@@ -95,7 +95,7 @@ class TestLLMTrace:
 
         def proc():
             for i in range(spec.n_llm_calls):
-                yield server.call(spec, i)
+                yield from server.call(spec, i)
             return sim.now
 
         assert sim.run_process(proc()) == pytest.approx(spec.llm_wait)
@@ -110,7 +110,7 @@ class TestLLMTrace:
         server = ReplayLLMServer()
 
         def proc():
-            yield server.call(spec, 99)
+            yield from server.call(spec, 99)
 
         with pytest.raises(IndexError):
             sim.run_process(proc())
@@ -122,7 +122,7 @@ class TestLLMTrace:
 
         def proc():
             for i in range(spec.n_llm_calls):
-                yield server.call(spec, i)
+                yield from server.call(spec, i)
 
         sim.run_process(proc())
         assert server.tokens_in == spec.input_tokens

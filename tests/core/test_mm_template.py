@@ -104,7 +104,7 @@ class TestAttach:
         space = AddressSpace("restored")
 
         def proc():
-            yield registry.mmt_attach(t, space)
+            yield from registry.mmt_attach(t, space)
             return sim.now
 
         elapsed = sim.run_process(proc())
@@ -122,7 +122,7 @@ class TestAttach:
 
         def proc():
             for s in spaces:
-                yield registry.mmt_attach(t, s)
+                yield from registry.mmt_attach(t, s)
 
         sim.run_process(proc())
         assert store.pool.used_pages == pool_pages_before  # no new storage
@@ -134,8 +134,8 @@ class TestAttach:
         a, b = AddressSpace("a"), AddressSpace("b")
 
         def proc():
-            yield registry.mmt_attach(t, a)
-            yield registry.mmt_attach(t, b)
+            yield from registry.mmt_attach(t, a)
+            yield from registry.mmt_attach(t, b)
 
         sim.run_process(proc())
         # Write to the tail of the space (heap/stack region, writable).
@@ -156,7 +156,7 @@ class TestAttach:
             start = sim.now
 
             def proc():
-                yield registry.mmt_attach(template, space)
+                yield from registry.mmt_attach(template, space)
                 return sim.now - start
 
             return sim.run_process(proc())
@@ -175,8 +175,8 @@ class TestAttach:
         a, b = AddressSpace("a"), AddressSpace("b")
 
         def proc():
-            yield registry.mmt_attach(t, a)
-            yield registry.mmt_attach(t, b)
+            yield from registry.mmt_attach(t, a)
+            yield from registry.mmt_attach(t, b)
 
         sim.run_process(proc())
         assert [v.start for v in a.vmas] == [v.start for v in b.vmas]

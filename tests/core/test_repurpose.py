@@ -36,8 +36,8 @@ def run(node, gen):
 def make_used_sandbox(node, runtime, func="JS"):
     """A sandbox that ran a function and made a mess."""
     def proc():
-        sb = yield runtime.create_sandbox_cold(func)
-        p = yield runtime.bootstrap_function(sb, function_by_name(func))
+        sb = yield from runtime.create_sandbox_cold(func)
+        p = yield from runtime.bootstrap_function(sb, function_by_name(func))
         sb.netns.open_connection(1, nbytes=2048)
         sb.function_overlay.write_file("/tmp/result.json", 1 << 20)
         return sb
@@ -51,7 +51,7 @@ class TestCleanse:
         sb = make_used_sandbox(node, runtime)
 
         def proc():
-            yield rep.cleanse(sb)
+            yield from rep.cleanse(sb)
 
         run(node, proc())
         node.sim.run()   # drain the async overlay purge
@@ -66,7 +66,7 @@ class TestCleanse:
         assert node.memory.usage["function-anon"] > 0
 
         def proc():
-            yield rep.cleanse(sb)
+            yield from rep.cleanse(sb)
 
         run(node, proc())
         assert node.memory.usage["function-anon"] == 0
@@ -77,7 +77,7 @@ class TestCleanse:
         sb.netns.add_firewall_rule("drop tcp/25")
 
         def proc():
-            yield rep.cleanse(sb)
+            yield from rep.cleanse(sb)
 
         run(node, proc())
         assert not sb.netns.customised
@@ -87,7 +87,7 @@ class TestCleanse:
         sb = make_used_sandbox(node, runtime, "JS")
 
         def proc():
-            yield rep.cleanse(sb)
+            yield from rep.cleanse(sb)
 
         run(node, proc())
         node.sim.run()
@@ -142,9 +142,9 @@ class TestRepurpose:
         rep.overlays.prewarm("CR")
 
         def proc():
-            yield rep.cleanse(sb)
+            yield from rep.cleanse(sb)
             start = node.now
-            p = yield rep.repurpose(sb, profile, image, template)
+            p = yield from rep.repurpose(sb, profile, image, template)
             return p, node.now - start
 
         p, elapsed = run(node, proc())
@@ -161,8 +161,8 @@ class TestRepurpose:
         profile, image, template = prepare(registry, store, "DH")
 
         def proc():
-            yield rep.cleanse(sb)
-            p = yield rep.repurpose(sb, profile, image, template)
+            yield from rep.cleanse(sb)
+            p = yield from rep.repurpose(sb, profile, image, template)
             return p
 
         p = run(node, proc())
@@ -179,9 +179,9 @@ class TestRepurpose:
         profile, image, template = prepare(registry, store, "DH")
 
         def proc():
-            yield rep.cleanse(sb)
+            yield from rep.cleanse(sb)
             start = node.now
-            p = yield rep.repurpose(sb, profile, image, None)
+            p = yield from rep.repurpose(sb, profile, image, None)
             return p, node.now - start
 
         p, elapsed = run(node, proc())
@@ -197,9 +197,9 @@ class TestRepurpose:
             profile, image, template = prepare(registry, store, "DH")
 
             def proc():
-                yield rep.cleanse(sb)
+                yield from rep.cleanse(sb)
                 start = node.now
-                yield rep.repurpose(sb, profile, image, template)
+                yield from rep.repurpose(sb, profile, image, template)
                 return node.now - start
 
             return run(node, proc())
@@ -219,8 +219,8 @@ class TestRepurpose:
         def proc():
             for name in names:
                 profile, image, template = prepare(registry, store, name)
-                yield rep.cleanse(sb)
-                p = yield rep.repurpose(sb, profile, image, template)
+                yield from rep.cleanse(sb)
+                p = yield from rep.repurpose(sb, profile, image, template)
                 # Simulate some dirtying (write to the writable tail).
                 total = p.address_space.total_pages
                 p.address_space.access(np.array([], dtype=np.int64),

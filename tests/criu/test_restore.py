@@ -16,7 +16,7 @@ def make_engine():
 
 def restore(engine, sim, image):
     def proc():
-        p = yield engine.restore_full(image)
+        p = yield from engine.restore_full(image)
         return p, sim.now
 
     return sim.run_process(proc())
@@ -69,7 +69,7 @@ def test_checkpoint_timed_and_counted():
     def proc():
         class FakeProc:
             pass
-        yield engine.checkpoint(FakeProc(), image)
+        yield from engine.checkpoint(FakeProc(), image)
         return sim.now
 
     t = sim.run_process(proc())
@@ -84,8 +84,8 @@ def test_restore_charges_accountant():
     image = SnapshotImage.from_profile(function_by_name("DH"))
 
     def proc():
-        p = yield engine.restore_full(image,
-                                      on_local_delta=acct.page_delta_hook("anon"))
+        p = yield from engine.restore_full(
+            image, on_local_delta=acct.page_delta_hook("anon"))
         return p
 
     p = sim.run_process(proc())

@@ -60,7 +60,7 @@ class TestRetries:
         node.sim.call_at(platform.retry_policy.backoff(0) / 2, pool.recover)
 
         def driver():
-            retries, degraded = yield platform.execute(inst, profile, 0)
+            retries, degraded = yield from platform.execute(inst, profile, 0)
             return retries, degraded
 
         retries, degraded = node.sim.run_process(driver())
@@ -78,7 +78,7 @@ class TestDegradationLadder:
         pool.fail("rdma link down")
 
         def driver():
-            retries, degraded = yield platform.execute(inst, profile, 0)
+            retries, degraded = yield from platform.execute(inst, profile, 0)
             return retries, degraded
 
         retries, degraded = node.sim.run_process(driver())
@@ -97,7 +97,7 @@ class TestDegradationLadder:
         pool.fail("rdma link down")
 
         def driver():
-            out = yield platform.execute(inst, profile, 0)
+            out = yield from platform.execute(inst, profile, 0)
             return out
 
         _retries, degraded = node.sim.run_process(driver())
@@ -141,7 +141,7 @@ class TestPlatformCrash:
         platform.register_function(function_by_name("DH"))
 
         def driver():
-            yield platform.invoke("DH")
+            yield from platform.invoke("DH")
             yield Delay(700.0)  # keep-alive expiry → cleanse into pool
 
         node.sim.run_process(driver())

@@ -23,7 +23,7 @@ class TestPoolExhaustion:
         assert "IR" not in platform.templates
 
         def driver():
-            r = yield platform.invoke("IR")
+            r = yield from platform.invoke("IR")
             return r
 
         r = node.sim.run_process(driver())
@@ -58,7 +58,7 @@ class TestMemoryCap:
         platform.register_function(function_by_name("IR"))   # 855 MB warm
 
         def driver():
-            yield platform.invoke("IR")
+            yield from platform.invoke("IR")
             yield Delay(1.0)
 
         node.sim.run_process(driver())
@@ -75,7 +75,7 @@ class TestMemoryCap:
         completed = []
 
         def one(fn):
-            r = yield platform.invoke(fn)
+            r = yield from platform.invoke(fn)
             completed.append(r)
 
         for fn in ("IR", "VP", "IFR", "IR", "VP", "IFR"):
@@ -90,7 +90,7 @@ class TestRuntimeErrors:
         platform = FaasdPlatform(node)
 
         def driver():
-            yield platform.invoke("NOPE")
+            yield from platform.invoke("NOPE")
 
         with pytest.raises(KeyError):
             node.sim.run_process(driver())
@@ -115,7 +115,7 @@ class TestRuntimeErrors:
         inst = Instance(profile, space)
 
         def driver():
-            yield platform.execute(inst, profile, 0)
+            yield from platform.execute(inst, profile, 0)
 
         with pytest.raises(KeyError, match="unregistered pool"):
             node.sim.run_process(driver())
@@ -136,7 +136,7 @@ class TestEncryptedRDMA:
         platform.register_function(function_by_name("JS"))
 
         def driver():
-            r = yield platform.invoke("JS")
+            r = yield from platform.invoke("JS")
             return r
 
         r = node.sim.run_process(driver())

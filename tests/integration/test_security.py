@@ -26,8 +26,8 @@ def setup():
 def run_messy_tenant(node, runtime, func="JS"):
     """A tenant that leaves every kind of residue behind."""
     def proc():
-        sb = yield runtime.create_sandbox_cold(func)
-        p = yield runtime.bootstrap_function(sb, function_by_name(func))
+        sb = yield from runtime.create_sandbox_cold(func)
+        p = yield from runtime.bootstrap_function(sb, function_by_name(func))
         # Residue: open connections, firewall edits, secret files,
         # dirty anonymous memory.
         sb.netns.open_connection(42, nbytes=1 << 20)
@@ -61,8 +61,8 @@ class TestNoDataLeakAcrossTenants:
         template = build_template_for_function(registry, image, store)
 
         def proc():
-            yield rep.cleanse(sb)
-            yield rep.repurpose(sb, profile, image, template)
+            yield from rep.cleanse(sb)
+            yield from rep.repurpose(sb, profile, image, template)
 
         node.sim.run_process(proc())
         overlay = sb.function_overlay
@@ -76,7 +76,7 @@ class TestNoDataLeakAcrossTenants:
         old_procs = list(sb.live_processes)
 
         def proc():
-            yield rep.cleanse(sb)
+            yield from rep.cleanse(sb)
 
         node.sim.run_process(proc())
         for p in old_procs:
@@ -119,8 +119,8 @@ class TestTemplateIsolation:
         a, b = AddressSpace("a"), AddressSpace("b")
 
         def proc():
-            yield registry.mmt_attach(template, a)
-            yield registry.mmt_attach(template, b)
+            yield from registry.mmt_attach(template, a)
+            yield from registry.mmt_attach(template, b)
 
         node.sim.run_process(proc())
         total = a.total_pages
@@ -145,7 +145,7 @@ class TestTemplateIsolation:
 
         def proc():
             for s in spaces:
-                yield registry.mmt_attach(template, s)
+                yield from registry.mmt_attach(template, s)
 
         node.sim.run_process(proc())
         layouts = [[(v.name, v.start) for v in s.vmas] for s in spaces]

@@ -53,7 +53,7 @@ class TestMountTable:
         sim, table = make_table()
 
         def proc():
-            yield table.mount("/sys", SimpleFS("sysfs"))
+            yield from table.mount("/sys", SimpleFS("sysfs"))
 
         sim.run_process(proc())
         assert table.visible("/sys").fstype == "sysfs"
@@ -64,11 +64,11 @@ class TestMountTable:
         fn = OverlayFS(("fn-deps",), label="fn")
 
         def proc():
-            yield table.mount("/app", base)
-            yield table.mount("/app", fn, fast=True)
+            yield from table.mount("/app", base)
+            yield from table.mount("/app", fn, fast=True)
             assert table.visible("/app") is fn
             assert table.mount_depth("/app") == 2
-            popped = yield table.umount("/app")
+            popped = yield from table.umount("/app")
             return popped
 
         popped = sim.run_process(proc())
@@ -79,7 +79,7 @@ class TestMountTable:
         sim, table = make_table()
 
         def proc():
-            yield table.umount("/nope")
+            yield from table.umount("/nope")
 
         with pytest.raises(KeyError):
             sim.run_process(proc())
@@ -88,7 +88,7 @@ class TestMountTable:
         sim, table = make_table()
 
         def cold():
-            yield table.mount("/a", SimpleFS("tmpfs"))
+            yield from table.mount("/a", SimpleFS("tmpfs"))
             return sim.now
 
         cold_t = sim.run_process(cold())
@@ -96,7 +96,7 @@ class TestMountTable:
         sim2, table2 = make_table()
 
         def fast():
-            yield table2.mount("/a", SimpleFS("tmpfs"), fast=True)
+            yield from table2.mount("/a", SimpleFS("tmpfs"), fast=True)
             return sim2.now
 
         fast_t = sim2.run_process(fast())
@@ -109,8 +109,8 @@ class TestMountTable:
         fs.purge_upper()
 
         def proc():
-            yield table.mount("/", fs)
-            yield table.remount("/")
+            yield from table.mount("/", fs)
+            yield from table.remount("/")
 
         sim.run_process(proc())
         assert not fs.stale_inode_cache
@@ -119,9 +119,9 @@ class TestMountTable:
         sim, table = make_table()
 
         def proc():
-            yield table.mknod("/dev/null")
-            yield table.mknod("/dev/zero")
-            yield table.pivot_root()
+            yield from table.mknod("/dev/null")
+            yield from table.mknod("/dev/zero")
+            yield from table.pivot_root()
 
         sim.run_process(proc())
         assert table.device_nodes == ["/dev/null", "/dev/zero"]
@@ -132,8 +132,8 @@ class TestMountTable:
         sim, table = make_table()
 
         def proc():
-            yield table.mount("/sys", SimpleFS("sysfs"))
-            yield table.mount("/proc", SimpleFS("proc"))
+            yield from table.mount("/sys", SimpleFS("sysfs"))
+            yield from table.mount("/proc", SimpleFS("proc"))
 
         sim.run_process(proc())
         assert table.mounted_paths() == ["/proc", "/sys"]

@@ -17,7 +17,7 @@ def test_spawn_allocates_pid_and_registers():
     sim, _cgm, table = setup()
 
     def proc():
-        p = yield table.spawn("worker")
+        p = yield from table.spawn("worker")
         return p
 
     p = sim.run_process(proc())
@@ -32,9 +32,9 @@ def test_spawn_into_cgroup_faster_than_migrate():
         sim, cgm, table = setup()
 
         def proc():
-            cg = yield cgm.create("sb")
+            cg = yield from cgm.create("sb")
             start = sim.now
-            yield table.spawn("w", cgroup=cg, into_cgroup=into)
+            yield from table.spawn("w", cgroup=cg, into_cgroup=into)
             return sim.now - start
 
         return sim.run_process(proc())
@@ -52,7 +52,7 @@ def test_spawn_with_cgroup_requires_manager():
     cg = Cgroup("x", CgroupLimits())
 
     def proc():
-        yield table.spawn("w", cgroup=cg)
+        yield from table.spawn("w", cgroup=cg)
 
     with pytest.raises(RuntimeError):
         sim.run_process(proc())
@@ -62,8 +62,8 @@ def test_clone_threads():
     sim, _cgm, table = setup()
 
     def proc():
-        p = yield table.spawn("w")
-        yield table.clone_threads(p, 13)
+        p = yield from table.spawn("w")
+        yield from table.clone_threads(p, 13)
         return p
 
     p = sim.run_process(proc())
@@ -74,8 +74,8 @@ def test_clone_threads_negative_rejected():
     sim, _cgm, table = setup()
 
     def proc():
-        p = yield table.spawn("w")
-        yield table.clone_threads(p, -1)
+        p = yield from table.spawn("w")
+        yield from table.clone_threads(p, -1)
 
     with pytest.raises(ValueError):
         sim.run_process(proc())
@@ -85,13 +85,13 @@ def test_kill_releases_memory_and_cgroup():
     sim, cgm, table = setup()
 
     def proc():
-        cg = yield cgm.create("sb")
-        p = yield table.spawn("w", cgroup=cg, into_cgroup=True)
+        cg = yield from cgm.create("sb")
+        p = yield from table.spawn("w", cgroup=cg, into_cgroup=True)
         p.address_space.add_vma("heap", 10)
         p.address_space.access(np.array([], dtype=np.int64),
                                np.arange(10))
         assert p.memory_bytes > 0
-        yield table.kill(p)
+        yield from table.kill(p)
         return p, cg
 
     p, cg = sim.run_process(proc())
@@ -105,10 +105,10 @@ def test_kill_tree_reaps_children():
     sim, _cgm, table = setup()
 
     def proc():
-        parent = yield table.spawn("parent")
-        child = yield table.spawn("child", parent=parent)
-        grand = yield table.spawn("grand", parent=child)
-        yield table.kill_tree(parent)
+        parent = yield from table.spawn("parent")
+        child = yield from table.spawn("child", parent=parent)
+        grand = yield from table.spawn("grand", parent=child)
+        yield from table.kill_tree(parent)
         return parent, child, grand
 
     parent, child, grand = sim.run_process(proc())
@@ -120,9 +120,9 @@ def test_kill_idempotent():
     sim, _cgm, table = setup()
 
     def proc():
-        p = yield table.spawn("w")
-        yield table.kill(p)
-        yield table.kill(p)
+        p = yield from table.spawn("w")
+        yield from table.kill(p)
+        yield from table.kill(p)
         return p
 
     p = sim.run_process(proc())

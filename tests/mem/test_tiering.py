@@ -139,7 +139,7 @@ class TestEndToEnd:
             space = AddressSpace("x")
 
             def proc():
-                yield registry.mmt_attach(template, space)
+                yield from registry.mmt_attach(template, space)
 
             sim.run_process(proc())
             return space.access(trace.read_pages, trace.write_pages)

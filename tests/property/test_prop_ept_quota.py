@@ -114,14 +114,14 @@ def test_admission_limit_respected(limit, burst):
     def tracked(inst, profile, inv_idx):
         inflight[0] += 1
         peak[0] = max(peak[0], inflight[0])
-        result = yield orig(inst, profile, inv_idx)
+        result = yield from orig(inst, profile, inv_idx)
         inflight[0] -= 1
         return result
 
     platform.execute = tracked
 
     def one():
-        yield platform.invoke("DH")
+        yield from platform.invoke("DH")
 
     for _ in range(burst):
         node.sim.spawn(one())

@@ -21,7 +21,7 @@ def burst(node, platform, fn, count):
     results = []
 
     def one():
-        r = yield platform.invoke(fn)
+        r = yield from platform.invoke(fn)
         results.append(r)
 
     for _ in range(count):
@@ -53,7 +53,7 @@ class TestAdmission:
         def tracking_execute(inst, profile, inv_idx):
             window.append(+1)
             assert sum(window) <= 1
-            result = yield orig_execute(inst, profile, inv_idx)
+            result = yield from orig_execute(inst, profile, inv_idx)
             window.append(-1)
             return result
 

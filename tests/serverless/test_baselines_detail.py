@@ -15,7 +15,7 @@ def single_invocation(platform_cls, fn="CH", **kwargs):
     platform.register_function(function_by_name(fn))
 
     def driver():
-        r = yield platform.invoke(fn)
+        r = yield from platform.invoke(fn)
         return r
 
     return node, platform, node.sim.run_process(driver())
@@ -62,9 +62,9 @@ class TestNetnsPoolVariants:
         platform.register_function(function_by_name("DH"))
 
         def driver():
-            a = yield platform.invoke("DH")
+            a = yield from platform.invoke("DH")
             yield Delay(5.0)           # warm instance expires (1 s)
-            b = yield platform.invoke("DH")
+            b = yield from platform.invoke("DH")
             return a, b
 
         a, b = node.sim.run_process(driver())
@@ -78,9 +78,9 @@ class TestNetnsPoolVariants:
         platform.register_function(function_by_name("DH"))
 
         def driver():
-            a = yield platform.invoke("DH")
+            a = yield from platform.invoke("DH")
             yield Delay(5.0)
-            b = yield platform.invoke("DH")
+            b = yield from platform.invoke("DH")
             return a, b
 
         a, b = node.sim.run_process(driver())
@@ -95,7 +95,7 @@ class TestVMFileIO:
         platform.register_function(function_by_name("VP"))   # 130 MB IO
 
         def driver():
-            yield platform.invoke("VP")
+            yield from platform.invoke("VP")
 
         node.sim.run_process(driver())
         profile = function_by_name("VP")
@@ -108,7 +108,7 @@ class TestVMFileIO:
         platform.register_function(function_by_name("VP"))
 
         def driver():
-            yield platform.invoke("VP")
+            yield from platform.invoke("VP")
 
         node.sim.run_process(driver())
         assert node.memory.usage["host-page-cache"] > 0

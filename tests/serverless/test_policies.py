@@ -33,9 +33,9 @@ class TestNone:
         platform.register_function(function_by_name("DH"))
 
         def driver():
-            a = yield platform.invoke("DH")
+            a = yield from platform.invoke("DH")
             yield Delay(1.0)
-            b = yield platform.invoke("DH")
+            b = yield from platform.invoke("DH")
             return a, b
 
         a, b = node.sim.run_process(driver())
@@ -96,7 +96,7 @@ class TestHistogram:
 
             def driver():
                 for _ in range(8):
-                    r = yield platform.invoke("DH")
+                    r = yield from platform.invoke("DH")
                     kinds.append(r.start_kind)
                     yield Delay(50.0)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.cpu import FairShareCPU
 from repro.sim.engine import Delay, Interrupt, SimulationError, Simulator
 from repro.sim.rng import SeededRNG
 
@@ -39,7 +40,7 @@ def test_subprocess_composition_returns_value():
         return "inner-done"
 
     def outer():
-        value = yield inner()
+        value = yield from inner()
         return value, sim.now
 
     value, now = sim.run_process(outer())
@@ -56,9 +57,9 @@ def test_deeply_nested_subprocesses():
 
     def walk(depth):
         if depth == 0:
-            result = yield leaf(0)
+            result = yield from leaf(0)
             return result
-        result = yield walk(depth - 1)
+        result = yield from walk(depth - 1)
         return result + 1
 
     assert sim.run_process(walk(20)) == 20
@@ -173,7 +174,7 @@ def test_exception_propagates_to_parent_process():
 
     def parent():
         try:
-            yield child()
+            yield from child()
         except ValueError as exc:
             return f"caught {exc}"
 
@@ -253,6 +254,63 @@ def test_interrupt_while_waiting_on_event_detaches_waiter():
     assert log == ["interrupted"]
 
 
+def _interrupt_inside_compute(nested):
+    """Interrupt a compute at t=2 while a sibling computes on one core.
+
+    ``nested`` suspends the victim three ``yield from`` levels deep
+    (outer -> middle -> inner -> ``cpu.compute``); otherwise the victim
+    calls ``cpu.compute`` directly.
+    """
+    sim = Simulator()
+    cpu = FairShareCPU(sim, cores=1)
+    log = []
+    cpu.on_load_change = lambda load: log.append(("load", load))
+    finished = {}
+
+    def inner():
+        yield from cpu.compute(10.0)
+
+    def middle():
+        try:
+            yield from inner()
+        finally:
+            log.append(("middle finally", cpu.load))
+
+    def outer():
+        try:
+            if nested:
+                yield from middle()
+            else:
+                yield from cpu.compute(10.0)
+        except Interrupt as intr:
+            log.append(("outer caught", intr.cause, sim.now))
+
+    def sibling():
+        yield from cpu.compute(4.0)
+        finished["sibling"] = sim.now
+
+    victim = sim.spawn(outer())
+    sim.spawn(sibling())
+    sim.call_at(2.0, lambda: victim.interrupt("crash"))
+    sim.run()
+    return log, finished["sibling"], sim.now
+
+
+def test_interrupt_lands_in_innermost_frame():
+    log, sibling_done, now = _interrupt_inside_compute(nested=True)
+    # compute's cleanup drops the load before any caller frame runs;
+    # the middle frame's finally runs next; the outer frame catches.
+    assert log == [("load", 1), ("load", 2), ("load", 1),
+                   ("middle finally", 1), ("outer caught", "crash", 2.0),
+                   ("load", 0)]
+    flat_log, flat_sibling_done, flat_now = _interrupt_inside_compute(
+        nested=False)
+    assert flat_log == [e for e in log if e[0] != "middle finally"]
+    # Both ran at rate 1/2 for 2 s, then the sibling's last 3 s alone.
+    assert sibling_done == flat_sibling_done == pytest.approx(5.0)
+    assert now == flat_now
+
+
 def test_run_until_stops_clock():
     sim = Simulator()
 
@@ -308,7 +366,7 @@ def test_all_of_gathers_results():
 
     def main():
         handles = [sim.spawn(worker(i)) for i in (3, 1, 2)]
-        results = yield sim.all_of(handles)
+        results = yield from sim.all_of(handles)
         return results, sim.now
 
     results, now = sim.run_process(main())
@@ -317,13 +375,20 @@ def test_all_of_gathers_results():
 
 
 def test_yield_garbage_raises():
-    sim = Simulator()
+    def child():
+        yield Delay(1.0)
 
-    def proc():
-        yield "not-a-command"
+    # A yielded generator is the retired sub-process idiom: the error
+    # names the process and says how to compose instead.
+    for cmd, hint in (("not-a-command", False), (child(), True)):
+        def proc(cmd=cmd):
+            yield cmd
 
-    with pytest.raises(SimulationError):
-        sim.run_process(proc())
+        with pytest.raises(SimulationError) as info:
+            Simulator().run_process(proc(), name="bad-proc")
+        message = str(info.value)
+        assert message.startswith("process bad-proc yielded ")
+        assert ("yield from" in message) == hint
 
 
 def test_run_process_deadlock_detected():
