@@ -1,17 +1,23 @@
-"""Shared helpers: platform construction, workload runs, table printing."""
+"""Shared helpers: platform and template construction, workload runs,
+table printing."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.config import TrEnvConfig
+from repro.core.mm_template import MMTemplateRegistry, MemoryTemplate
 from repro.core.platform import TrEnvPlatform
+from repro.mem.address_space import PROT_READ, PROT_WRITE
 from repro.mem.layout import GB
-from repro.mem.pools import CXLPool, RDMAPool, TieredPool
+from repro.mem.pools import CXLPool, DedupStore, RDMAPool, TieredPool
 from repro.node import Node
 from repro.serverless.baselines import (CRIUPlatform, FaasdPlatform,
                                         FaasnapPlatform, ReapPlatform)
 from repro.serverless.runner import RunResult, run_workload
+from repro.sim.engine import Simulator
 from repro.workloads.synthetic import Workload
 
 #: Container-side systems of §9.2–§9.5.
@@ -50,6 +56,27 @@ def run_platform_workload(name: str, workload: Workload, seed: int = 1,
                           config: Optional[TrEnvConfig] = None) -> RunResult:
     platform = make_platform(name, seed=seed, config=config)
     return run_workload(platform, workload)
+
+
+def build_synthetic_template(total_pages: int,
+                             n_vmas: int = 16) -> MemoryTemplate:
+    """A sealed template of ``total_pages`` pages over a fixed VMA count,
+    so attach cost can only scale with pages (what O(metadata)
+    ``mmt_attach`` must not do, §5.1)."""
+    registry = MMTemplateRegistry(Simulator())
+    store = DedupStore(CXLPool(64 * GB))
+    template = registry.mmt_create(f"synthetic-{total_pages}")
+    per = total_pages // n_vmas
+    vmas = [registry.mmt_add_map(
+        template, f"vma-{i}",
+        per if i < n_vmas - 1 else total_pages - per * (n_vmas - 1),
+        PROT_READ | PROT_WRITE) for i in range(n_vmas)]
+    for vma in vmas:
+        content = np.arange(vma.first, vma.first + vma.npages,
+                            dtype=np.int64)
+        registry.mmt_setup_pt(template, vma.name, store.store_image(content))
+        vma.content[:] = content
+    return template
 
 
 def format_table(title: str, headers: Sequence[str],

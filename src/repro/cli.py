@@ -89,19 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("lint",
                    help="simlint static analysis (see `repro lint --help`)",
                    add_help=False)
-    perf = sub.add_parser(
-        "perf", help="host-side perf harness (writes BENCH_perf.json)")
-    perf.add_argument("--quick", action="store_true",
-                      help="CI-sized run: fewer iterations, shorter workload")
-    perf.add_argument("--out", default="BENCH_perf.json",
-                      help="output path (default: BENCH_perf.json)")
-    perf.add_argument("--jobs", type=int, default=0,
-                      help="cap the worker counts the parallel section "
-                           "sweeps (0 = profile default ladder)")
-    perf.add_argument("--json", action="store_true",
-                      help="emit raw JSON instead of pretty print")
-    perf.add_argument("--profile", action="store_true",
-                      help="cProfile the run; print top-25 by cumulative")
     sweep = sub.add_parser(
         "sweep",
         help="parallel experiment sweep (writes BENCH_sweep.json)")
@@ -235,7 +222,6 @@ def main(argv=None) -> int:
     if args.command == "list":
         for name in EXPERIMENTS:
             print(name)
-        print("perf")
         print("sweep")
         print("overload")
         print("trace")
@@ -259,11 +245,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(render_text(report))
         return 0
-    if args.command == "perf":
-        from repro.bench.perf import run_perf
-        runner = lambda: run_perf(quick=args.quick, out_path=args.out,
-                                  jobs=args.jobs)
-    elif args.command == "sweep":
+    if args.command == "sweep":
         from repro.bench.sweep import run_sweep
         runner = lambda: run_sweep(jobs=args.jobs, quick=args.quick,
                                    out_path=args.out,

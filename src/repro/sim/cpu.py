@@ -43,7 +43,7 @@ class FairShareCPU:
         self.cores = cores
         self._tasks: Dict[int, _ComputeTask] = {}
         self._ids = itertools.count()
-        self._wakeup_token = 0
+        self._wakeup: Optional[list] = None   # pending call_at entry
         self._busy_time = 0.0          # integrated core-seconds consumed
         self._last_busy_update = 0.0
         #: Single-consumer hook: called with the new :attr:`load` after
@@ -125,19 +125,20 @@ class FairShareCPU:
         self._last_busy_update = now
 
     def _reschedule(self) -> None:
-        """Schedule a wakeup at the earliest projected task completion."""
-        self._wakeup_token += 1
-        token = self._wakeup_token
+        """Schedule a wakeup at the earliest projected task completion,
+        cancelling the one it supersedes."""
+        if self._wakeup is not None:
+            self.sim.cancel(self._wakeup)
+            self._wakeup = None
         if not self._tasks:
             return
         rate = min(1.0, self.cores / len(self._tasks))
         earliest = min(t.work_left for t in self._tasks.values())
         eta = max(0.0, earliest / rate)
-        self.sim.call_at(self.sim.now + eta, lambda: self._wakeup(token))
+        self._wakeup = self.sim.call_at(self.sim.now + eta, self._on_wakeup)
 
-    def _wakeup(self, token: int) -> None:
-        if token != self._wakeup_token:
-            return  # superseded by a newer arrival/departure
+    def _on_wakeup(self) -> None:
+        self._wakeup = None
         self._advance_all()
         finished = [tid for tid, t in self._tasks.items() if t.work_left <= 1e-12]
         for tid in finished:

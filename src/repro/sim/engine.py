@@ -249,16 +249,18 @@ class Simulator:
     """Deterministic event loop with a virtual clock in seconds.
 
     Task wake-ups live in one binary heap of ``(time, seq, task, value,
-    epoch)`` tuples and plain callbacks in a second heap of ``(time,
-    seq, fn)``; both draw ``seq`` from one counter, so execution order
-    is exactly ``(time, seq)`` across the two.
+    epoch)`` tuples and plain callbacks in a second heap of ``[time,
+    seq, fn]`` lists; both draw ``seq`` from one counter, so execution
+    order is exactly ``(time, seq)`` across the two.  A cancelled
+    callback keeps its slot with ``fn`` cleared and is dropped when it
+    reaches the front.
     """
 
     def __init__(self):
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, _Task, Any, int]] = []
         self._seq = itertools.count()
-        self._callbacks: List[Tuple[float, int, Callable[[], None]]] = []
+        self._callbacks: List[list] = []
 
     # -- process management -------------------------------------------------
 
@@ -312,11 +314,22 @@ class Simulator:
     def event(self) -> Event:
         return Event(self)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run a plain callback at absolute simulated time ``when``."""
+    def call_at(self, when: float, fn: Callable[[], None]) -> list:
+        """Run a plain callback at absolute simulated time ``when``.
+
+        Returns the heap entry, which :meth:`cancel` takes.
+        """
         if when < self.now:
             raise SimulationError(f"call_at into the past: {when} < {self.now}")
-        heapq.heappush(self._callbacks, (when, next(self._seq), fn))
+        entry = [when, next(self._seq), fn]
+        heapq.heappush(self._callbacks, entry)
+        return entry
+
+    @staticmethod
+    def cancel(entry: list) -> None:
+        """Cancel a pending :meth:`call_at` callback: it never runs and
+        never advances the clock."""
+        entry[2] = None
 
     def _schedule(self, dt: float, task: _Task, value: Any) -> None:
         heapq.heappush(self._queue,
@@ -347,8 +360,11 @@ class Simulator:
                     pop(callbacks)
                     if hooks.active is not None:
                         hooks.active.on_sim_event(self, when)
+                    fn = cb[2]
+                    if fn is None:
+                        continue   # cancelled: leave the clock alone
                     self.now = when
-                    cb[2]()
+                    fn()
                     continue
             if not queue:
                 break
@@ -386,6 +402,8 @@ class Simulator:
             when, _seq, fn = heapq.heappop(callbacks)
             if hooks.active is not None:
                 hooks.active.on_sim_event(self, when)
+            if fn is None:
+                return   # cancelled: leave the clock alone
             self.now = when
             fn()
             return

@@ -19,7 +19,7 @@ attach path still existed; both paths produced them exactly.
 import numpy as np
 import pytest
 
-from repro.bench.perf import _build_synthetic_template
+from repro.bench.harness import build_synthetic_template
 from repro.core.mm_template import MMTemplateRegistry
 from repro.mem.address_space import AddressSpace, PTE_LOCAL
 from repro.mem.cow import CowPageArray
@@ -41,15 +41,15 @@ def attach(template, registry=None):
 
 class TestSimulatedInvariance:
     def test_large_attach_is_submillisecond_and_nearly_flat(self):
-        _, small_cost = attach(_build_synthetic_template(SMALL_PAGES))
-        _, large_cost = attach(_build_synthetic_template(LARGE_PAGES))
+        _, small_cost = attach(build_synthetic_template(SMALL_PAGES))
+        _, large_cost = attach(build_synthetic_template(LARGE_PAGES))
         assert large_cost < 1e-3          # 219k pages in under a millisecond
         assert large_cost < 2 * small_cost   # ~flat despite 213x more pages
 
     def test_simulated_cost_identical_with_and_without_cow(self):
         """CoW changes host behaviour only, never virtual time: the cost
         equals the value both attach paths produced."""
-        _, cost = attach(_build_synthetic_template(LARGE_PAGES))
+        _, cost = attach(build_synthetic_template(LARGE_PAGES))
         assert cost == 0.000631856
 
 
@@ -63,13 +63,13 @@ def private_nbytes(space):
 class TestHostInvariance:
     def test_attach_allocates_zero_private_bytes_at_any_size(self):
         for pages in (SMALL_PAGES, LARGE_PAGES):
-            space, _ = attach(_build_synthetic_template(pages))
+            space, _ = attach(build_synthetic_template(pages))
             for arr in (space.state, space.offsets, space.content):
                 assert isinstance(arr, CowPageArray)
             assert private_nbytes(space) == 0
 
     def test_private_bytes_scale_with_pages_touched_not_template_size(self):
-        space, _ = attach(_build_synthetic_template(LARGE_PAGES))
+        space, _ = attach(build_synthetic_template(LARGE_PAGES))
         trace = np.array([0, 1, 2, 3], dtype=np.int64)
         space.access(read_pages=np.array([], dtype=np.int64),
                      write_pages=trace)
@@ -82,7 +82,7 @@ class TestHostInvariance:
         writes = np.sort(rng.choice(LARGE_PAGES, size=512, replace=False))
         reads = np.sort(rng.choice(LARGE_PAGES, size=512, replace=False))
 
-        space, _ = attach(_build_synthetic_template(LARGE_PAGES))
+        space, _ = attach(build_synthetic_template(LARGE_PAGES))
         out = space.access(read_pages=reads.astype(np.int64),
                            write_pages=writes.astype(np.int64))
         counts = space.page_state_counts()

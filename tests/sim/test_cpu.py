@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.cpu import FairShareCPU
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import Delay, Interrupt, Simulator
 
 
 def run_tasks(cores, works, stagger=0.0):
@@ -132,3 +132,27 @@ def test_many_tasks_complete_in_bounded_events():
     _sim, _cpu, finish = run_tasks(20, [1.0] * 200)
     for t in finish.values():
         assert t == pytest.approx(10.0)
+
+
+def test_superseded_wakeups_do_not_advance_the_clock():
+    # One core: a 10 s compute is interrupted at t=2 next to a 4 s
+    # sibling.  The sibling has 3 s left at full rate and ends at 5.0;
+    # the wakeups scheduled for t=10 and t=8 were superseded and must
+    # not drag the clock (and the utilisation window) past it.
+    sim = Simulator()
+    cpu = FairShareCPU(sim, 1)
+    finish = {}
+
+    def task(name, work):
+        try:
+            yield from cpu.compute(work)
+        except Interrupt:
+            return
+        finish[name] = sim.now
+
+    long = sim.spawn(task("long", 10.0))
+    sim.spawn(task("sibling", 4.0))
+    sim.call_at(2.0, lambda: long.interrupt("crash"))
+    assert sim.run() == pytest.approx(5.0)
+    assert finish == {"sibling": pytest.approx(5.0)}
+    assert cpu.utilization() == pytest.approx(1.0)

@@ -346,6 +346,25 @@ def test_call_at_callback():
     assert hits == [2.0]
 
 
+def test_cancelled_callback_neither_runs_nor_advances_clock():
+    sim = Simulator()
+    hits = []
+    sim.call_at(1.0, lambda: hits.append(sim.now))
+    sim.cancel(sim.call_at(3.0, lambda: hits.append(sim.now)))
+    assert sim.run() == 1.0
+    assert hits == [1.0]
+
+    # run_process steps one event at a time and skips it too.
+    sim = Simulator()
+    sim.cancel(sim.call_at(1.0, lambda: hits.append(sim.now)))
+
+    def main():
+        yield Delay(2.0)
+
+    sim.run_process(main())
+    assert sim.now == 2.0 and hits == [1.0]
+
+
 def test_call_at_past_raises():
     sim = Simulator()
 
