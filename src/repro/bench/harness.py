@@ -67,15 +67,14 @@ def build_synthetic_template(total_pages: int,
     store = DedupStore(CXLPool(64 * GB))
     template = registry.mmt_create(f"synthetic-{total_pages}")
     per = total_pages // n_vmas
-    vmas = [registry.mmt_add_map(
-        template, f"vma-{i}",
-        per if i < n_vmas - 1 else total_pages - per * (n_vmas - 1),
-        PROT_READ | PROT_WRITE) for i in range(n_vmas)]
-    for vma in vmas:
-        content = np.arange(vma.first, vma.first + vma.npages,
-                            dtype=np.int64)
-        registry.mmt_setup_pt(template, vma.name, store.store_image(content))
-        vma.content[:] = content
+    for i in range(n_vmas):
+        registry.mmt_add_map(
+            template, f"vma-{i}",
+            per if i < n_vmas - 1 else total_pages - per * (n_vmas - 1),
+            PROT_READ | PROT_WRITE)
+    content = np.arange(total_pages, dtype=np.int64)
+    registry.mmt_setup_pt(template, None, store.store_image(content))
+    template.content[:] = content
     return template
 
 

@@ -18,17 +18,14 @@ root-only pseudo-device (§7, §8.1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Generator, Optional
-
-import numpy as np
 
 from repro.analysis import hooks
 from repro.criu.images import SnapshotImage
 from repro.obs import hooks as obs_hooks
 from repro.mem.address_space import (MAP_PRIVATE, AddressSpace, PageTable,
                                      VMA)
-from repro.mem.pools import DedupStore, MemoryPool, PoolBlock
+from repro.mem.pools import DedupStore, PoolBlock
 from repro.sim.engine import Delay, Simulator
 from repro.sim.latency import LatencyModel
 
@@ -112,9 +109,12 @@ class MMTemplateRegistry:
             raise MMTemplateError("template already sealed by setup_pt")
         return template.add_vma(name, npages, prot, flags)
 
-    def mmt_setup_pt(self, template: MemoryTemplate, vma_name: str,
-                     block: PoolBlock, as_root: bool = True) -> None:
-        """Point a template VMA's PTEs at a pool block.
+    def mmt_setup_pt(self, template: MemoryTemplate,
+                     vma_name: Optional[str], block: PoolBlock,
+                     as_root: bool = True) -> None:
+        """Point a template VMA's PTEs at a pool block; ``vma_name=None``
+        points the whole layout at one image-wide block in a single pass
+        (how preprocessing builds a template).
 
         For byte-addressable pools the PTEs are installed *valid* and
         write-protected (reads are plain loads); otherwise they are left
@@ -123,14 +123,18 @@ class MMTemplateRegistry:
         self._check_root(as_root)
         if template.sealed:
             raise MMTemplateError("template already sealed by an attach")
-        vma = template.find_vma(vma_name)
-        if block.npages != vma.npages:
+        if vma_name is None:
+            vmas, what = template.vmas, "the layout"
+        else:
+            vmas, what = [template.find_vma(vma_name)], f"VMA {vma_name!r}"
+        npages = vmas[-1].first + vmas[-1].npages - vmas[0].first
+        if block.npages != npages:
             raise MMTemplateError(
-                f"block covers {block.npages} pages, VMA {vma_name!r} has "
-                f"{vma.npages}")
-        template._bind(vma, block, block.pool.valid_mask(block.offsets))
+                f"block covers {block.npages} pages, {what} has {npages}")
+        template._bind(vmas, block, block.pool.valid_mask(block.offsets))
         if hooks.active is not None:
-            hooks.active.on_pte_bound(vma)
+            for vma in vmas:
+                hooks.active.on_pte_bound(vma)
 
     def mmt_attach(self, template: MemoryTemplate, space: AddressSpace,
                    as_root: bool = True, ctx=None) -> Generator:
@@ -180,28 +184,24 @@ def build_template_for_function(registry: MMTemplateRegistry,
                                 hot_mask=None) -> MemoryTemplate:
     """Offline preprocessing (Figure 12 steps 1–4).
 
-    Deduplicates the snapshot into the pool's consolidated image, creates
-    a template, recreates the VMA layout, and links every VMA to its pool
-    block.  ``hot_mask`` (image-wide, optional) drives per-page tier
-    placement on tiered pools (:mod:`repro.mem.tiering`).  Returns the
-    ready-to-attach template.
+    Deduplicates the snapshot into the pool's consolidated image in one
+    store, creates a template, recreates the VMA layout, and links the
+    whole layout to the image's pool block in one pass.  ``hot_mask``
+    (image-wide, optional) drives per-page tier placement on tiered pools
+    (:mod:`repro.mem.tiering`).  Returns the ready-to-attach template.
+
+    The store comes first, so a pool too small for the image raises
+    before any template exists: a failed registration leaves neither
+    pool pages, index entries nor a half-built template behind.
     """
+    block = store.store_image(image.content_ids, hot_mask=hot_mask)
     template = registry.mmt_create(image.function)
-    slices = image.vma_content_slices()
     # The whole layout first, so the PTE table is allocated once.
-    vmas = [registry.mmt_add_map(template, vma_desc.name, vma_desc.npages,
-                                 vma_desc.prot, vma_desc.flags)
-            for vma_desc, _content in slices]
-    cursor = 0
-    for vma, (vma_desc, content) in zip(vmas, slices):
-        vma_mask = None
-        if hot_mask is not None:
-            vma_mask = np.asarray(hot_mask, dtype=bool)[
-                cursor:cursor + vma_desc.npages]
-        block = store.store_image(content, hot_mask=vma_mask)
-        registry.mmt_setup_pt(template, vma_desc.name, block)
-        cursor += vma_desc.npages
-        # Content ids travel with the template so re-snapshotting and
-        # accounting remain possible.
-        vma.content[:] = content
+    for vma_desc in image.vmas:
+        registry.mmt_add_map(template, vma_desc.name, vma_desc.npages,
+                             vma_desc.prot, vma_desc.flags)
+    registry.mmt_setup_pt(template, None, block)
+    # Content ids travel with the template so re-snapshotting and
+    # accounting remain possible.
+    template.content[:] = image.content_ids
     return template

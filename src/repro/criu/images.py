@@ -11,7 +11,7 @@ stack VMA per thread group chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -71,15 +71,6 @@ class SnapshotImage:
         1 MB even for the 855 MB IR image (§4: "its size is small").
         """
         return self.total_pages * 8 + len(self.vmas) * 64
-
-    def vma_content_slices(self) -> List[Tuple[VMADescriptor, np.ndarray]]:
-        """Pair each VMA descriptor with its slice of content ids."""
-        out = []
-        cursor = 0
-        for vma in self.vmas:
-            out.append((vma, self.content_ids[cursor:cursor + vma.npages]))
-            cursor += vma.npages
-        return out
 
     def build_address_space(self, name: str = "",
                             on_local_delta=None) -> AddressSpace:

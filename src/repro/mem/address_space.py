@@ -96,15 +96,18 @@ class VMA:
 
     @property
     def state(self):
-        return self._table._window(self._table.state, self)
+        return self._table._window(self._table.state, self.first,
+                                   self.first + self.npages)
 
     @property
     def offsets(self):
-        return self._table._window(self._table.offsets, self)
+        return self._table._window(self._table.offsets, self.first,
+                                   self.first + self.npages)
 
     @property
     def content(self):
-        return self._table._window(self._table.content, self)
+        return self._table._window(self._table.content, self.first,
+                                   self.first + self.npages)
 
 
 class Layout:
@@ -287,33 +290,36 @@ class PageTable:
         self._layout_changed()
 
     @staticmethod
-    def _window(arr, vma: VMA):
-        """``arr``'s pages of ``vma``: an ndarray view, or a CoW window."""
-        lo, hi = vma.first, vma.first + vma.npages
+    def _window(arr, lo: int, hi: int):
+        """``arr``'s pages ``[lo, hi)``: an ndarray view, or a CoW window."""
         if isinstance(arr, CowPageArray):
             return CowWindow(arr, lo, hi)
         return arr[lo:hi]
 
-    def _bind(self, vma: VMA, block: PoolBlock, valid) -> int:
-        """Point ``vma``'s PTEs at ``block``; returns how many local
-        pages that unmapped.
+    def _bind(self, vmas: List[VMA], block: PoolBlock, valid) -> int:
+        """Point the PTEs of ``vmas`` (consecutive in the layout) at
+        ``block``; returns how many local pages that unmapped.
 
-        ``valid`` is a bool or a per-page boolean mask: valid pages get
-        write-protected direct-map PTEs, the rest invalid PTEs holding the
-        remote address.
+        ``valid`` is a bool or a per-page boolean mask over the block:
+        valid pages get write-protected direct-map PTEs, the rest invalid
+        PTEs holding the remote address.  However many VMAs the range
+        spans, ``state`` and ``offsets`` are written once each and the
+        layout is invalidated once.
         """
-        lo, hi = vma.first, vma.first + vma.npages
-        freed = count_equal(vma.state, PTE_LOCAL)
+        lo, hi = vmas[0].first, vmas[-1].first + vmas[-1].npages
+        freed = count_equal(self._window(self.state, lo, hi), PTE_LOCAL)
         if isinstance(valid, bool):
             self.state[lo:hi] = PTE_REMOTE_RO if valid else PTE_REMOTE_INVALID
         else:
             mask = np.asarray(valid, dtype=bool)
-            if len(mask) != vma.npages:
+            if len(mask) != hi - lo:
                 raise ValueError("valid mask length mismatch")
             self.state[lo:hi] = np.where(mask, PTE_REMOTE_RO,
                                          PTE_REMOTE_INVALID).astype(np.uint8)
         self.offsets[lo:hi] = block.offsets
-        vma.pool = block.pool
+        for vma in vmas:
+            vma._pool = block.pool
+        self._layout_changed()
         return freed
 
     # -- sharing -------------------------------------------------------------------
@@ -450,21 +456,26 @@ class AddressSpace(PageTable):
                 hooks.active.on_pte_bound(vma)
         self._charge(fresh)
 
-    def bind_remote(self, vma: VMA, block: PoolBlock, valid) -> None:
-        """Point ``vma`` pages at a pool block.
+    def bind_remote(self, vma: Optional[VMA], block: PoolBlock,
+                    valid) -> None:
+        """Point ``vma``'s pages at a pool block; ``vma=None`` points the
+        whole layout at one image-wide block in a single pass.
 
         ``valid`` is a bool or a per-page boolean mask: valid pages get
         write-protected direct-map PTEs (CXL, ``mmt_setup_pt(..., CXL)``);
         the rest get invalid PTEs holding the remote address (RDMA lazy
         path / a tiered pool's cold pages).
         """
-        if block.npages != vma.npages:
+        vmas = self.vmas if vma is None else [vma]
+        npages = self.total_pages if vma is None else vma.npages
+        if block.npages != npages:
             raise ValueError(
-                f"block/vma size mismatch: {block.npages} != {vma.npages}")
-        freed = self._bind(vma, block, valid)
+                f"block/vma size mismatch: {block.npages} != {npages}")
+        freed = self._bind(vmas, block, valid)
         self._charge(-freed)
         if hooks.active is not None:
-            hooks.active.on_pte_bound(vma)
+            for bound in vmas:
+                hooks.active.on_pte_bound(bound)
 
     # -- faults --------------------------------------------------------------------
 

@@ -22,8 +22,8 @@ checks so no caller can accidentally bypass them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -367,90 +367,56 @@ class DedupStore:
     Figure 12's duplicated region R2).
 
     The content-id → offset index is a pair of aligned, sorted numpy
-    arrays plus a small sorted *pending* buffer.  Fresh ids land in the
-    pending buffer (cheap: it stays small) and are merged into the main
-    arrays only when the buffer outgrows a fraction of them, so N stores
-    cost O(N log N) amortised instead of the O(N²) of re-inserting into
-    one ever-growing array per image.
+    arrays.  Callers store a whole image at once (one call per snapshot,
+    not per VMA), so each store costs one ``searchsorted`` to find the
+    fresh ids, one pool allocation, one ``np.insert`` into each index
+    array and one ``searchsorted`` plus gather for the offsets.
     """
 
     def __init__(self, pool: MemoryPool):
         self.pool = pool
         self._cids = np.empty(0, dtype=np.int64)        # sorted content ids
         self._cid_offsets = np.empty(0, dtype=np.int64)  # aligned offsets
-        self._pend_cids = np.empty(0, dtype=np.int64)    # sorted, small
-        self._pend_offsets = np.empty(0, dtype=np.int64)
         self.total_pages_presented = 0
         self.unique_pages_stored = 0
-
-    def _known_mask(self, sorted_ids: np.ndarray) -> np.ndarray:
-        """Membership of ``sorted_ids`` in main + pending indexes."""
-        known = np.zeros(len(sorted_ids), dtype=bool)
-        for cids in (self._cids, self._pend_cids):
-            if not len(cids):
-                continue
-            pos = np.searchsorted(cids, sorted_ids)
-            in_range = pos < len(cids)
-            known[in_range] |= cids[pos[in_range]] == sorted_ids[in_range]
-        return known
-
-    def _lookup(self, content_ids: np.ndarray) -> np.ndarray:
-        """Offsets for ids known to be present (main or pending)."""
-        offsets = np.empty(len(content_ids), dtype=np.int64)
-        found = np.zeros(len(content_ids), dtype=bool)
-        for cids, offs in ((self._cids, self._cid_offsets),
-                           (self._pend_cids, self._pend_offsets)):
-            if not len(cids):
-                continue
-            pos = np.searchsorted(cids, content_ids)
-            in_range = pos < len(cids)
-            hit = np.zeros(len(content_ids), dtype=bool)
-            hit[in_range] = cids[pos[in_range]] == content_ids[in_range]
-            offsets[hit] = offs[pos[hit]]
-            found |= hit
-        if not found.all():
-            raise KeyError("content id missing from dedup index")
-        return offsets
-
-    def _merge_pending(self) -> None:
-        at = np.searchsorted(self._cids, self._pend_cids)
-        self._cids = np.insert(self._cids, at, self._pend_cids)
-        self._cid_offsets = np.insert(self._cid_offsets, at,
-                                      self._pend_offsets)
-        self._pend_cids = np.empty(0, dtype=np.int64)
-        self._pend_offsets = np.empty(0, dtype=np.int64)
 
     def store_image(self, content_ids: np.ndarray,
                     hot_mask: Optional[np.ndarray] = None) -> PoolBlock:
         """Consolidate an image; optionally with per-page tier placement.
 
-        ``hot_mask`` (tiered pools only) marks which pages belong in the
-        upper tier; the first function to store a page decides its
-        placement.
+        Fresh content ids get pool slots in ascending-id order, whatever
+        their order in the image.  ``hot_mask`` (tiered pools only) marks
+        which pages belong in the upper tier; the first occurrence of a
+        fresh id decides its placement, and an id already stored keeps
+        the tier of the store that brought it.
+
+        Atomic: the one pool allocation comes before any change to the
+        index or the counters, so a store that exhausts the pool leaves
+        the store and the pool as they were.
         """
         content_ids = np.asarray(content_ids, dtype=np.int64)
-        self.total_pages_presented += len(content_ids)
-        unique, first_idx = np.unique(content_ids, return_index=True)
-        known = self._known_mask(unique)
-        missing = unique[~known]
-        if len(missing):
+        pos = np.searchsorted(self._cids, content_ids)
+        known = pos < len(self._cids)
+        known[known] = self._cids[pos[known]] == content_ids[known]
+        fresh_at = np.flatnonzero(~known)
+        if len(fresh_at):
+            missing, first = np.unique(content_ids[fresh_at],
+                                       return_index=True)
             if hot_mask is not None:
                 if not hasattr(self.pool, "allocate_pages_masked"):
                     raise TypeError(
                         f"{self.pool.name} pool does not support placement")
-                hot_mask = np.asarray(hot_mask, dtype=bool)
-                # First occurrence of each missing cid decides placement.
-                mask = hot_mask[first_idx[~known]]
-                fresh = self.pool.allocate_pages_masked(mask)
+                mask = np.asarray(hot_mask, dtype=bool)[fresh_at[first]]
+                offsets = self.pool.allocate_pages_masked(mask)
             else:
-                fresh = self.pool.allocate_pages(len(missing))
-            at = np.searchsorted(self._pend_cids, missing)
-            self._pend_cids = np.insert(self._pend_cids, at, missing)
-            self._pend_offsets = np.insert(self._pend_offsets, at, fresh)
+                offsets = self.pool.allocate_pages(len(missing))
+            at = np.searchsorted(self._cids, missing)
+            self._cids = np.insert(self._cids, at, missing)
+            self._cid_offsets = np.insert(self._cid_offsets, at, offsets)
             self.unique_pages_stored += len(missing)
-            if len(self._pend_cids) * 4 > len(self._cids):
-                self._merge_pending()
-        return PoolBlock(pool=self.pool, offsets=self._lookup(content_ids))
+            pos = np.searchsorted(self._cids, content_ids)
+        self.total_pages_presented += len(content_ids)
+        return PoolBlock(pool=self.pool, offsets=self._cid_offsets[pos])
 
     @property
     def dedup_ratio(self) -> float:

@@ -18,7 +18,7 @@ from typing import Dict, Generator, Optional, Tuple
 from repro.container.runtime import ContainerRuntime
 from repro.criu.images import SnapshotImage
 from repro.mem.layout import GB, MB
-from repro.mem.pools import DedupStore, MemoryPool
+from repro.mem.pools import DedupStore, MemoryPool, PoolBlock
 from repro.mem.trace import AccessTrace
 from repro.node import Node
 from repro.serverless.base import Instance, ServerlessPlatform
@@ -118,15 +118,13 @@ class _LazyVMPlatform(ServerlessPlatform):
         self.images: Dict[str, SnapshotImage] = {}
         self.tmpfs = UffdTmpfsPool(64 * GB, node.latency)
         self.store = DedupStore(self.tmpfs)
-        self.blocks: Dict[str, list] = {}
+        self.blocks: Dict[str, PoolBlock] = {}
         self.register_pool(self.tmpfs)
 
     def _preprocess(self, profile: FunctionProfile) -> None:
         image = SnapshotImage.from_profile(profile)
         self.images[profile.name] = image
-        self.blocks[profile.name] = [
-            self.store.store_image(content)
-            for _vma, content in image.vma_content_slices()]
+        self.blocks[profile.name] = self.store.store_image(image.content_ids)
 
     def _acquire(self, profile: FunctionProfile, ctx=None) -> Generator:
         node = self.node
@@ -150,15 +148,12 @@ class _LazyVMPlatform(ServerlessPlatform):
     def _bind_lazy_image(self, vm: MicroVM, profile: FunctionProfile) -> None:
         image = self.images[profile.name]
         space = vm.guest_memory
-        slices = image.vma_content_slices()
         # The whole layout first, so the PTE table is allocated once.
-        vmas = [space.add_vma(vma_desc.name, vma_desc.npages,
-                              vma_desc.prot, vma_desc.flags)
-                for vma_desc, _content in slices]
-        for vma, (_desc, content), block in zip(vmas, slices,
-                                                self.blocks[profile.name]):
-            vma.content[:] = content
-            space.bind_remote(vma, block, valid=False)
+        for vma_desc in image.vmas:
+            space.add_vma(vma_desc.name, vma_desc.npages, vma_desc.prot,
+                          vma_desc.flags)
+        space.content[:] = image.content_ids
+        space.bind_remote(None, self.blocks[profile.name], valid=False)
 
     def _prefetch_working_set(self, vm: MicroVM, profile: FunctionProfile
                               ) -> Generator:

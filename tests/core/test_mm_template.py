@@ -63,6 +63,20 @@ class TestRegistry:
         with pytest.raises(MMTemplateError):
             registry.mmt_setup_pt(t, "heap", block)
 
+    def test_setup_pt_whole_layout_in_one_pass(self):
+        sim, registry, store = setup(RDMAPool)
+        t = registry.mmt_create("X")
+        for name, npages in (("text", 3), ("heap", 5), ("stack", 2)):
+            registry.mmt_add_map(t, name, npages, PROT_READ | PROT_WRITE)
+        with pytest.raises(MMTemplateError, match="the layout has 10"):
+            registry.mmt_setup_pt(t, None, store.store_image(np.arange(9)))
+        block = store.store_image(np.arange(10))
+        registry.mmt_setup_pt(t, None, block)
+        assert (np.asarray(t.state) == PTE_REMOTE_INVALID).all()
+        assert np.array_equal(t.offsets, block.offsets)
+        assert [vma.pool for vma in t.vmas] == [store.pool] * 3
+        assert t.layout.pool_names == ["rdma"] * 3
+
 
 class TestBuild:
     def test_cxl_template_has_valid_ro_ptes(self):
@@ -95,6 +109,40 @@ class TestBuild:
         expected_new = dh_pages - shared_pages
         assert store.unique_pages_stored == pytest.approx(
             stored_after_first + expected_new, abs=2)
+
+
+class TestOnePassRegistration:
+    """Structural guard, no timing: registering a function stores its
+    snapshot with one ``store_image`` call and one pool allocation,
+    whatever its VMA count."""
+
+    @pytest.mark.parametrize("name", ["t-cxl", "t-tiered", "reap",
+                                      "faasnap"])
+    def test_one_store_and_one_allocation_per_function(self, name,
+                                                       monkeypatch):
+        from repro.bench.harness import make_platform
+
+        platform = make_platform(name, seed=3)
+        store, pool = platform.store, platform.store.pool
+        calls = {"store": 0, "alloc": 0}
+
+        def counted(method, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(store, "store_image",
+                            counted(store.store_image, "store"))
+        for alloc in ("allocate_pages", "allocate_pages_masked"):
+            if hasattr(pool, alloc):
+                monkeypatch.setattr(pool, alloc,
+                                    counted(getattr(pool, alloc), "alloc"))
+        for fn in ("DH", "IR", "JS"):
+            before = dict(calls)
+            platform.register_function(function_by_name(fn))
+            assert calls["store"] - before["store"] == 1, fn
+            assert calls["alloc"] - before["alloc"] == 1, fn
 
 
 class TestAttach:

@@ -39,8 +39,9 @@ def test_runtime_vmas_read_only():
 
 def test_content_slices_partition_ids():
     image = SnapshotImage.from_profile(function_by_name("DH"))
-    slices = image.vma_content_slices()
-    rebuilt = np.concatenate([ids for _vma, ids in slices])
+    space = image.build_address_space()
+    assert [v.npages for v in space.vmas] == [v.npages for v in image.vmas]
+    rebuilt = np.concatenate([np.asarray(vma.content) for vma in space.vmas])
     assert np.array_equal(rebuilt, image.content_ids)
 
 

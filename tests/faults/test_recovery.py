@@ -29,9 +29,8 @@ def remote_bound_instance(node, platform, pool, function="DH"):
     image = SnapshotImage.from_profile(profile)
     space = image.build_address_space("x")
     store = DedupStore(pool)
-    for vma, content in zip(space.vmas,
-                            [c for _v, c in image.vma_content_slices()]):
-        space.bind_remote(vma, store.store_image(content), valid=False)
+    space.bind_remote(None, store.store_image(image.content_ids),
+                      valid=False)
     return Instance(profile, space), profile
 
 

@@ -43,12 +43,38 @@ class TestPoolExhaustion:
         assert "DH" in platform.templates
         assert "IR" in platform.pool_exhausted_functions
 
+    def test_failed_registration_leaves_nothing_behind(self):
+        """IR overflows the pool after DH fits: the pool, the dedup index
+        and the template registry all read as if IR was never offered."""
+        node = Node(seed=13)
+        pool = CXLPool(int(120 * MB), node.latency)
+        platform = TrEnvPlatform(node, pool)
+        store = platform.store
+        platform.register_function(function_by_name("DH"))
+        used, index = pool.used_bytes, store._cids.copy()
+        presented = store.total_pages_presented
+        assert used == 12_903 * 4096     # DH alone: 52.85 MB
+        platform.register_function(function_by_name("IR"))
+        assert "IR" in platform.pool_exhausted_functions
+        assert pool.used_bytes == used
+        assert np.array_equal(store._cids, index)
+        assert store.unique_pages_stored == pool.used_pages
+        assert store.total_pages_presented == presented
+        assert len(platform.registry) == 1
+        assert platform.registry.mmt_get(1) is platform.templates["DH"]
+
     def test_direct_pool_exhaustion_raises(self):
         pool = RDMAPool(2 * 4096)
         store = DedupStore(pool)
         store.store_image(np.arange(2))
         with pytest.raises(MemoryError):
             store.store_image(np.arange(100, 103))
+        # Atomic: neither the pool nor the store saw the failed image.
+        assert pool.used_pages == 2
+        assert store.unique_pages_stored == 2
+        assert store.total_pages_presented == 2
+        assert np.array_equal(store.store_image(np.arange(2)).offsets,
+                              [0, 1])
 
 
 class TestMemoryCap:
@@ -109,9 +135,8 @@ class TestRuntimeErrors:
         space = image.build_address_space("x")
         pool = RDMAPool(8 * GB, node.latency)   # never registered
         store = DedupStore(pool)
-        for vma, content in zip(space.vmas,
-                                [c for _v, c in image.vma_content_slices()]):
-            space.bind_remote(vma, store.store_image(content), valid=False)
+        space.bind_remote(None, store.store_image(image.content_ids),
+                          valid=False)
         inst = Instance(profile, space)
 
         def driver():

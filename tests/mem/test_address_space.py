@@ -249,6 +249,22 @@ class TestAccounting:
         space.bind_remote(space.find_vma("heap"), block, valid=True)
         assert space.local_pages == 0
 
+    def test_bind_remote_whole_layout(self):
+        space = make_space(6)
+        space.add_vma("stack", 4)
+        space.populate_local(space.find_vma("stack"))
+        store = DedupStore(RDMAPool(MB))
+        with pytest.raises(ValueError):
+            space.bind_remote(None, store.store_image(np.arange(6)), False)
+        mask = np.arange(10) % 2 == 0
+        block = store.store_image(np.arange(10, 20))
+        space.bind_remote(None, block, valid=mask)
+        assert space.local_pages == 0
+        assert np.array_equal(
+            space.state, np.where(mask, PTE_REMOTE_RO, PTE_REMOTE_INVALID))
+        assert np.array_equal(space.offsets, block.offsets)
+        assert space.layout.pool_names == ["rdma", "rdma"]
+
     def test_page_state_counts(self):
         space = cxl_bound_space(10)
         space.access(arr(), arr(0, 1))
