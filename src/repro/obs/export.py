@@ -14,6 +14,7 @@ never of dict insertion order.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -225,7 +226,9 @@ def phase_breakdown(tracer: SpanTracer) -> Dict[str, Dict[str, Dict]]:
             durations = phases[phase]
             out[kind][phase] = {
                 "count": len(durations),
-                "mean_ms": sum(durations) / len(durations) * 1e3,
+                # fsum: the mean must not depend on record order,
+                # which differs between a serial and a merged trace.
+                "mean_ms": math.fsum(durations) / len(durations) * 1e3,
                 "max_ms": max(durations) * 1e3,
             }
     return out

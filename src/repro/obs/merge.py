@@ -18,19 +18,21 @@ Why this works without coordination:
   high-water mark), and a shard drives exactly the serial per-node
   event subsequence, so the lanes a shard assigns on its own nodes
   equal the serial run's.
-* **trace ids** — the only shard-local state.  Serially, ids are
-  handed out in task wake order: events sorted by ``(max(0, time),
-  event index)``.  A shard hands ids to its *owned* events in the
-  same wake order, so shard-local id ``k+1`` maps to the serial id
-  of the shard's ``k``-th owned event in wake order.  The remap is
-  computed from the workload + plan alone — no runtime channel.
+* **trace ids** — serially, ids are handed out in task wake order:
+  events sorted by ``(max(0, time), event index)``.  A shard begins
+  its *owned* events in the same wake order, so its ``k``-th
+  ``begin`` is the event whose serial id is the ``k``-th smallest of
+  the shard's.  The parent computes that id list per shard from the
+  workload and the plan alone (:func:`shard_remaps`) and the shard's
+  tracer hands the ids out at record time — no runtime channel and no
+  rewrite of recorded ids.
 
-The per-record work runs in the workers, in parallel: the parent
-computes every shard's remap before submitting, and each worker turns
-its tracer into a :class:`ShardTrace` (:func:`shard_trace`) — ids
-remapped, records content-sorted, still tuples.  The parent's
-:func:`merge_shard_tracers` then only merges runs that are already
-sorted.
+Each worker content-sorts its own records (:func:`shard_trace`), in
+parallel.  The content order is pid-major, and each shard owns a
+contiguous block of pids, so past the rack-track (pid 0) records the
+shard runs concatenate already in order: the parent's
+:func:`merge_shard_tracers` sorts only the rack records and the links,
+and checks that each shard's node records follow the previous shard's.
 
 Anything that breaks these invariants raises :class:`SpanMergeError`
 in the parent (a worker-side breach travels back as
@@ -47,7 +49,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import eq, itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.trace import SpanTracer
 
@@ -73,30 +75,30 @@ def serial_trace_ids(event_times: Sequence[float]) -> List[int]:
 
 
 def shard_remaps(event_times: Sequence[float],
-                 plan) -> List[Dict[int, int]]:
-    """Per shard: {shard-local trace id: serial trace id}.
+                 plan) -> List[List[int]]:
+    """Per shard: the serial trace id of each of its ``begin`` calls.
 
     ``plan`` is a :class:`~repro.serverless.partition.ParallelPlan`;
-    the remap depends only on the workload's event times and the
-    plan's static event->node assignment.
+    the ids depend only on the workload's event times and the plan's
+    static event->node assignment.  A shard begins its owned events in
+    serial wake order, so its ids are its events' serial ids, ascending.
     """
     serial_ids = serial_trace_ids(event_times)
-    remaps: List[Dict[int, int]] = []
-    for shard in range(plan.n_shards):
-        owned = plan.owned_events(shard)
-        wake = sorted(owned,
-                      key=lambda i: (max(0.0, event_times[i]), i))
-        remaps.append({k + 1: serial_ids[idx]
-                       for k, idx in enumerate(wake)})
-    return remaps
+    return [sorted(serial_ids[idx] for idx in plan.owned_events(shard))
+            for shard in range(plan.n_shards)]
 
 
 # -- content order ------------------------------------------------------------
 
-#: Every field but the trailing args dict, per record kind.
-_SPAN_LEAD = itemgetter(0, 1, 2, 3, 4, 5, 6)
-_INSTANT_LEAD = itemgetter(0, 1, 2, 3)
+#: Every field but the trailing args dict, per record kind, pid-major
+#: for the records that carry a pid: spans ``(pid, tid, t0, t1, name,
+#: cat, trace_id)``, instants ``(pid, tid, t, name)``, links as stored.
+_SPAN_LEAD = itemgetter(2, 3, 0, 1, 4, 5, 6)
+_INSTANT_LEAD = itemgetter(1, 2, 0, 3)
 _LINK_LEAD = itemgetter(0, 1, 2, 3, 4)
+#: Where a span and an instant keep their pid.
+_SPAN_PID = 2
+_INSTANT_PID = 1
 
 
 def _canon(record: Tuple) -> str:
@@ -108,11 +110,12 @@ def _canon(record: Tuple) -> str:
 def _collector_paused():
     """No cyclic-GC passes while a block builds records in bulk.
 
-    Remapping and sorting allocate a tuple per record (and a key tuple
-    per record while sorting); on a shard's large heap the collector
+    Sorting allocates a key tuple per record, and receiving a shard's
+    trace unpickles a tuple per record; on a large heap the collector
     passes those allocations trigger cost more than the work itself.
     The records form no reference cycles, so there is nothing for the
-    paused collector to find.
+    paused collector to find.  The previous state comes back on every
+    exit path.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -154,16 +157,17 @@ class ShardTrace:
     """One shard's span trace, ready for the parent's merge.
 
     Built in the worker by :func:`shard_trace`: trace ids are serial
-    ids and each record list is content-sorted.  Records stay tuples,
-    since the process boundary is pickle.  ``breach`` names the merge
-    invariant the shard broke, if any; its record lists are then empty.
+    ids (handed out at record time) and each record list is
+    content-sorted.  Records stay tuples, since the process boundary is
+    pickle.  ``breach`` names the merge invariant the shard broke, if
+    any; its record lists are then empty.
     """
 
     #: {track name: pid}.
     procs: Dict[str, int]
     #: {pid: lane high-water mark}.
     lane_high: Dict[int, int]
-    #: How many trace ids the shard owns (its remap's size).
+    #: How many trace ids the shard owns (the length of its id list).
     n_ids: int
     spans: List[Tuple] = field(default_factory=list)
     instants: List[Tuple] = field(default_factory=list)
@@ -171,44 +175,27 @@ class ShardTrace:
     breach: Optional[str] = None
 
 
-def shard_trace(tracer: SpanTracer, remap: Dict[int, int],
-                shard: int) -> ShardTrace:
-    """Remap ``tracer``'s ids to serial ids and content-sort its records.
+def shard_trace(tracer: SpanTracer, shard: int) -> ShardTrace:
+    """Content-sort ``tracer``'s records for the parent's merge.
 
-    Runs in the shard worker.  Checks the shard-side merge invariants:
-    the shard began exactly as many traces as the plan gives it events,
-    and every id it recorded is one of them.  A breach is returned as
-    :attr:`ShardTrace.breach`, not raised, so the worker still hands
-    back its outcome and the parent can fall back with the reason.
+    Runs in the shard worker.  Checks the shard-side merge invariant:
+    the shard began exactly as many traces as its id list holds (the
+    plan's owned events; a tracer built without ids owns what it
+    began).  A breach is returned as :attr:`ShardTrace.breach`, not
+    raised, so the worker still hands back its outcome and the parent
+    can fall back with the reason.
     """
+    ids = tracer._ids
+    n_ids = tracer.n_begun if ids is None else len(ids)
     out = ShardTrace(procs=tracer.processes(),
-                     lane_high=dict(tracer._lane_high), n_ids=len(remap))
-    n_local = tracer._next_id - 1
-    if n_local != len(remap):
-        out.breach = (f"shard {shard} began {n_local} traces but the plan "
-                      f"owns {len(remap)} events")
+                     lane_high=dict(tracer._lane_high), n_ids=n_ids)
+    if tracer.n_begun != n_ids:
+        out.breach = (f"shard {shard} began {tracer.n_begun} traces but "
+                      f"the plan owns {n_ids} events")
         return out
-    rid = dict(remap)
-    rid[0] = 0          # the environment keeps id 0
+    spans, instants, links = (list(tracer.spans), list(tracer.instants),
+                              list(tracer.links))
     with _collector_paused():
-        try:
-            spans = [(t0, t1, pid, tid, name, cat, rid[trace_id], args)
-                     for t0, t1, pid, tid, name, cat, trace_id, args
-                     in tracer.spans]
-            instants = []
-            for record in tracer.instants:
-                args = record[4]
-                if args and "trace_id" in args:
-                    args = dict(args)
-                    args["trace_id"] = rid[args["trace_id"]]
-                    record = record[:4] + (args,)
-                instants.append(record)
-            links = [(t0, t1, kind, rid[src], rid[dst], args)
-                     for t0, t1, kind, src, dst, args in tracer.links]
-        except KeyError as exc:
-            out.breach = (f"shard {shard} referenced unknown local trace "
-                          f"id {exc.args[0]}")
-            return out
         _content_sort(spans, _SPAN_LEAD)
         _content_sort(instants, _INSTANT_LEAD)
         _content_sort(links, _LINK_LEAD)
@@ -218,12 +205,42 @@ def shard_trace(tracer: SpanTracer, remap: Dict[int, int],
 
 # -- parent side ---------------------------------------------------------------
 
+def _merge_runs(runs: Sequence[List[Tuple]], lead: Callable,
+                pid_at: int) -> List[Tuple]:
+    """The content-sorted union of the shards' content-sorted runs.
+
+    A run is pid-major, so its rack-track (pid 0) records come first;
+    past them each run covers its shard's own node block.  Only the
+    rack records are sorted; the rest concatenate in shard order.  A
+    run whose node records do not start after the previous run's end
+    (a shard recorded on another shard's node) is a breach.
+    """
+    rack: List[Tuple] = []
+    rest: List[Tuple] = []
+    last = 0        # the shard whose records end ``rest``
+    for shard, run in enumerate(runs):
+        split = 0
+        while split < len(run) and run[split][pid_at] == 0:
+            split += 1
+        rack.extend(run[:split])
+        if split < len(run):
+            if rest and not lead(rest[-1]) < lead(run[split]):
+                raise SpanMergeError(f"shard {shard} node records "
+                                     f"overlap shard {last}'s")
+            rest.extend(run[split:])
+            last = shard
+    _content_sort(rack, lead)
+    rack.extend(rest)
+    return rack
+
+
 def merge_shard_tracers(traces: Sequence[Optional[ShardTrace]]
                         ) -> SpanTracer:
     """Fold the shards' :class:`ShardTrace` runs into one tracer.
 
     Raises :class:`SpanMergeError` when a shard trace is missing, the
-    pid maps disagree, or a worker reported a breach.  The merged
+    pid maps disagree, a worker reported a breach, or two shards'
+    node records overlap.  The merged
     records are in content order, so the result is identical for any
     shard count that merges at all.
     """
@@ -246,18 +263,19 @@ def merge_shard_tracers(traces: Sequence[Optional[ShardTrace]]
     merged._procs = dict(procs)
     lane_high: Dict[int, int] = {}
     for trace in traces:
-        merged.spans.extend(trace.spans)
-        merged.instants.extend(trace.instants)
-        merged.links.extend(trace.links)
         for pid, high in trace.lane_high.items():
             lane_high[pid] = max(lane_high.get(pid, 0), high)
     merged._lane_high = dict(sorted(lane_high.items()))
     merged._next_id = 1 + sum(trace.n_ids for trace in traces)
     # Content order: shard concatenation order must not leak into the
     # merged object (2-shard and 4-shard merges of the same run must be
-    # identical tracers).  Each shard's run is already sorted.
+    # identical tracers).
     with _collector_paused():
-        _content_sort(merged.spans, _SPAN_LEAD)
-        _content_sort(merged.instants, _INSTANT_LEAD)
-        _content_sort(merged.links, _LINK_LEAD)
+        merged.spans = _merge_runs([t.spans for t in traces], _SPAN_LEAD,
+                                   _SPAN_PID)
+        merged.instants = _merge_runs([t.instants for t in traces],
+                                      _INSTANT_LEAD, _INSTANT_PID)
+        links = [link for t in traces for link in t.links]
+        _content_sort(links, _LINK_LEAD)
+        merged.links = links
     return merged

@@ -37,6 +37,13 @@ class Observability:
     Instrumented modules call the ``on_*`` methods below through
     ``hooks.active``; platform code with richer context (the invocation
     lifecycle) uses :attr:`tracer` and :attr:`registry` directly.
+
+    Hot hooks resolve their series keys once per pool, memory
+    category, image, template layout or node, and build each span's
+    ``args`` once per image, template layout, start kind or dispatch
+    target: every span of that object shares one dict, so callers must
+    treat span args as read-only.  A shared dict is also pickled once
+    per shard trace, through pickle's memo.
     """
 
     def __init__(self, level: str = "spans",
@@ -54,19 +61,50 @@ class Observability:
         # (platform, function, start kind) -> on_invocation's series keys.
         self._invocation_keys: Dict[Tuple[str, str, str],
                                     Tuple[MetricKey, ...]] = {}
+        key = self.registry.key
+        self._criu_keys = (key("criu_restores_total"),
+                           key("criu_restore_bytes_total"),
+                           key("criu_restore_seconds"))
+        self._proc_restore_key = key("proc_state_restores_total")
+        self._mmt_keys = (key("mmt_attaches_total"),
+                          key("mmt_attach_pages_total"),
+                          key("mmt_attach_seconds"))
+        # Per object, keyed by identity: series keys, and the values and
+        # span args that stay fixed for the object's life.
+        self._pool_keys: Dict[object, Tuple[MetricKey, ...]] = {}
+        self._charge_keys: Dict[str, Tuple[MetricKey, MetricKey]] = {}
+        self._image_facts: Dict[object, Tuple[int, Dict, Dict]] = {}
+        self._template_facts: Dict[Tuple, Tuple[int, Dict]] = {}
+        self._dispatch_keys: Dict[str, MetricKey] = {}
+        self._dispatch_args: Dict[Tuple[str, int], Dict] = {}
+        self._kind_args: Dict[str, Dict] = {}
 
     # -- memory subsystem hooks ----------------------------------------------
 
+    def _keys_of_pool(self, pool) -> Tuple[MetricKey, ...]:
+        keys = self._pool_keys.get(pool)
+        if keys is None:
+            key, name = self.registry.key, pool.name
+            keys = self._pool_keys[pool] = (
+                key("pool_alloc_pages_total", pool=name),
+                key("pool_fetches_total", pool=name),
+                key("pool_fetch_pages_total", pool=name),
+                key("pool_fetch_seconds", pool=name),
+                key("pool_read_loads_total", pool=name))
+        return keys
+
     def on_pool_alloc(self, pool, npages: int) -> None:
-        self.registry.inc("pool_alloc_pages_total", npages, pool=pool.name)
+        self.registry.inc_key(self._keys_of_pool(pool)[0], npages)
 
     def on_pool_fetch(self, pool, npages: int, seconds: float) -> None:
-        self.registry.inc("pool_fetches_total", pool=pool.name)
-        self.registry.inc("pool_fetch_pages_total", npages, pool=pool.name)
-        self.registry.observe("pool_fetch_seconds", seconds, pool=pool.name)
+        _alloc, fetches, pages, secs, _reads = self._keys_of_pool(pool)
+        reg = self.registry
+        reg.inc_key(fetches)
+        reg.inc_key(pages, npages)
+        reg.observe_key(secs, seconds)
 
     def on_pool_read(self, pool, nloads: int) -> None:
-        self.registry.inc("pool_read_loads_total", nloads, pool=pool.name)
+        self.registry.inc_key(self._keys_of_pool(pool)[4], nloads)
 
     def on_page_cache_delta(self, cache, delta: int) -> None:
         if delta > 0:
@@ -77,9 +115,14 @@ class Observability:
                               cache=cache.name)
 
     def on_mem_charge(self, category: str, delta_bytes: int) -> None:
-        self.registry.inc("mem_charge_events_total", category=category)
-        self.registry.add_gauge("mem_category_bytes", delta_bytes,
-                                category=category)
+        keys = self._charge_keys.get(category)
+        if keys is None:
+            key = self.registry.key
+            keys = self._charge_keys[category] = (
+                key("mem_charge_events_total", category=category),
+                key("mem_category_bytes", category=category))
+        self.registry.inc_key(keys[0])
+        self.registry.add_gauge_key(keys[1], delta_bytes)
 
     # -- VM hooks -------------------------------------------------------------
 
@@ -96,35 +139,77 @@ class Observability:
 
     # -- restore-path hooks ---------------------------------------------------
 
+    def _facts_of_image(self, image) -> Tuple[int, Dict, Dict]:
+        """(bytes, criu_restore args, proc_state_restore args)."""
+        facts = self._image_facts.get(image)
+        if facts is None:
+            facts = self._image_facts[image] = (
+                image.nbytes,
+                {"bytes": image.nbytes, "n_vmas": len(image.vmas)},
+                {"n_threads": image.n_threads, "n_fds": image.n_fds})
+        return facts
+
     def on_criu_restore(self, image, t0: float, t1: float,
                         ctx: Optional[TraceContext]) -> None:
-        self.registry.inc("criu_restores_total")
-        self.registry.inc("criu_restore_bytes_total", image.nbytes)
-        self.registry.observe("criu_restore_seconds", t1 - t0)
+        restores, nbytes, seconds = self._criu_keys
+        size, args, _ = self._facts_of_image(image)
+        reg = self.registry
+        reg.inc_key(restores)
+        reg.inc_key(nbytes, size)
+        reg.observe_key(seconds, t1 - t0)
         if self.tracer is not None:
-            self.tracer.span(ctx, "criu_restore", t0, t1,
-                             args={"bytes": image.nbytes,
-                                   "n_vmas": len(image.vmas)})
+            self.tracer.span(ctx, "criu_restore", t0, t1, args=args)
 
     def on_proc_state_restore(self, image, t0: float, t1: float,
                               ctx: Optional[TraceContext]) -> None:
-        self.registry.inc("proc_state_restores_total")
+        self.registry.inc_key(self._proc_restore_key)
         if self.tracer is not None:
             self.tracer.span(ctx, "proc_state_restore", t0, t1,
-                             args={"n_threads": image.n_threads,
-                                   "n_fds": image.n_fds})
+                             args=self._facts_of_image(image)[2])
 
     def on_mmt_attach(self, template, t0: float, t1: float,
                       ctx: Optional[TraceContext]) -> None:
-        self.registry.inc("mmt_attaches_total")
-        self.registry.inc("mmt_attach_pages_total", template.total_pages)
-        self.registry.observe("mmt_attach_seconds", t1 - t0)
+        # A layout is immutable and replaced on change, so the pair
+        # fixes the template's size and pools.
+        which = (template, template.layout)
+        facts = self._template_facts.get(which)
+        if facts is None:
+            pages = template.total_pages
+            facts = self._template_facts[which] = (pages, {
+                "template": template.key, "pages": pages,
+                "pool": ",".join(template.layout.pools) or "local"})
+        pages, args = facts
+        attaches, npages, seconds = self._mmt_keys
+        reg = self.registry
+        reg.inc_key(attaches)
+        reg.inc_key(npages, pages)
+        reg.observe_key(seconds, t1 - t0)
         if self.tracer is not None:
-            self.tracer.span(ctx, "mmt_attach", t0, t1,
-                             args={"template": template.key,
-                                   "pages": template.total_pages,
-                                   "pool": ",".join(template.layout.pools)
-                                   or "local"})
+            self.tracer.span(ctx, "mmt_attach", t0, t1, args=args)
+
+    # -- dispatch (called from serverless/cluster.py) --------------------------
+
+    def on_dispatch(self, node: str) -> None:
+        key = self._dispatch_keys.get(node)
+        if key is None:
+            key = self._dispatch_keys[node] = self.registry.key(
+                "dispatches_total", node=node)
+        self.registry.inc_key(key)
+
+    def dispatch_args(self, node: str, attempt: int) -> Dict:
+        """The shared args of a ``dispatch`` span."""
+        args = self._dispatch_args.get((node, attempt))
+        if args is None:
+            args = self._dispatch_args[(node, attempt)] = {
+                "node": node, "attempt": attempt}
+        return args
+
+    def kind_args(self, kind: str) -> Dict:
+        """The shared args of an ``acquire`` span."""
+        args = self._kind_args.get(kind)
+        if args is None:
+            args = self._kind_args[kind] = {"kind": kind}
+        return args
 
     # -- fault-domain hooks ---------------------------------------------------
 
@@ -197,16 +282,19 @@ def uninstall(previous: Optional[Observability] = None) -> None:
 
 @contextlib.contextmanager
 def observed(level: str = "spans",
-             registry: Optional[MetricsRegistry] = None):
+             registry: Optional[MetricsRegistry] = None,
+             tracer: Optional[SpanTracer] = None):
     """Context manager: observe everything inside the block.
 
     Yields the :class:`Observability`; the previous observer (usually
-    None) is restored on exit.
+    None) is restored on exit.  ``tracer`` replaces the fresh tracer of
+    the spans level (a shard worker passes one that hands out serial
+    trace ids).
     """
     if level == "off":
         yield None
         return
-    obs = Observability(level, registry=registry)
+    obs = Observability(level, registry=registry, tracer=tracer)
     previous = hooks.install(obs)
     try:
         yield obs

@@ -175,7 +175,9 @@ class MetricsRegistry:
 
     def add_gauge(self, name: str, delta: float, **labels) -> None:
         """Accumulate a level gauge (e.g. current bytes per category)."""
-        key = self._resolve(name, labels)
+        self.add_gauge_key(self._resolve(name, labels), delta)
+
+    def add_gauge_key(self, key: MetricKey, delta: float) -> None:
         self._gauges[key] = self._gauges.get(key, 0.0) + delta
 
     def observe(self, name: str, value: float, **labels) -> None:
@@ -230,6 +232,19 @@ class MetricsRegistry:
             mine_h.merge(other._hists[key])
 
     # -- (de)serialization — the sweep's process boundary ----------------------
+
+    def __getstate__(self) -> Dict:
+        """Pickle state, with every histogram's pending samples folded.
+
+        A shard worker pickles its registry to send it, so the fold
+        runs in the worker, in parallel, instead of in the receiving
+        parent's merge.  The label memo is a cache and stays behind.
+        """
+        for hist in self._hists.values():
+            hist._flush()
+        state = dict(self.__dict__)
+        state["_keys"] = {}
+        return state
 
     def to_dict(self) -> Dict:
         return {

@@ -25,7 +25,7 @@ engine interleaves generator tasks at the same virtual tick, so any
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 #: pid of the rack-level control track.
 RACK_PID = 0
@@ -68,9 +68,13 @@ class SpanTracer:
     Storage is plain tuples (no per-span objects): a traced cluster run
     emits several spans per invocation, and the tracer must stay cheap
     enough that "spans" mode is usable on trace-scale scenarios.
+
+    ``ids``, when given, is the trace id of each :meth:`begin` call in
+    turn (a shard worker of a parallel run records serial ids this
+    way, see :mod:`repro.obs.merge`); by default ids count from 1.
     """
 
-    def __init__(self):
+    def __init__(self, ids: Optional[Sequence[int]] = None):
         # (t0, t1, pid, tid, name, category, trace_id, args-or-None)
         self.spans: List[Tuple] = []
         # (t, pid, tid, name, args-or-None)
@@ -83,7 +87,9 @@ class SpanTracer:
         self._procs: Dict[str, int] = {"rack": RACK_PID}
         self._free_lanes: Dict[int, List[int]] = {}
         self._lane_high: Dict[int, int] = {}
+        #: 1 + the number of begin() calls so far.
         self._next_id = 1
+        self._ids = ids
 
     # -- identity ------------------------------------------------------------
 
@@ -117,9 +123,17 @@ class SpanTracer:
     # -- context lifecycle -----------------------------------------------------
 
     def begin(self, function: str, t: float) -> TraceContext:
-        """A fresh, unbound context for one invocation."""
+        """A fresh, unbound context for one invocation.
+
+        Past the end of ``ids`` the context gets id 0 instead of
+        raising: ``begin`` runs inside simulated tasks, and the caller
+        of the run detects the overrun from :attr:`n_begun`.
+        """
         trace_id = self._next_id
-        self._next_id += 1
+        self._next_id = trace_id + 1
+        ids = self._ids
+        if ids is not None:
+            trace_id = ids[trace_id - 1] if trace_id <= len(ids) else 0
         return TraceContext(trace_id, function, t)
 
     def bind(self, ctx: TraceContext, node_name: str) -> None:
@@ -240,6 +254,11 @@ class SpanTracer:
         return tracer
 
     # -- stats -----------------------------------------------------------------
+
+    @property
+    def n_begun(self) -> int:
+        """How many contexts :meth:`begin` has handed out."""
+        return self._next_id - 1
 
     @property
     def n_spans(self) -> int:

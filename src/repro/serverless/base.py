@@ -307,9 +307,9 @@ class ServerlessPlatform:
             else:
                 inst, kind = yield from self._acquire(profile, ctx)
                 inst.obs_ctx = ctx
-                if tracer is not None:
+                if obs is not None and tracer is not None:
                     tracer.span(ctx, "acquire", t_acquire, self.node.now,
-                                args={"kind": kind})
+                                args=obs.kind_args(kind))
             startup = self.node.now - t_acquire
             t1 = self.node.now
             retries, degraded = yield from self.execute(inst, profile, inv_idx)

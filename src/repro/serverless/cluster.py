@@ -437,13 +437,13 @@ class Cluster:
                         self.dispatch_counts.get(key, 0) + 1)
                     slot["node"] = key
                     if obs is not None:
-                        obs.registry.inc("dispatches_total", node=key)
+                        obs.on_dispatch(key)
                         if tracer is not None:
                             tracer.bind(ctx, key)
                             tracer.span(ctx, "dispatch", t_att,
                                         self.sim.now,
-                                        args={"node": key,
-                                              "attempt": _attempt})
+                                        args=obs.dispatch_args(key,
+                                                               _attempt))
                     try:
                         yield from platform.invoke(event.function,
                                                    arrival=event.time,
@@ -575,12 +575,12 @@ class Cluster:
                             self.dispatch_counts.get(key, 0) + 1)
                         slot["node"] = key
                         if obs is not None:
-                            obs.registry.inc("dispatches_total", node=key)
+                            obs.on_dispatch(key)
                             if tracer is not None:
                                 tracer.bind(ctx, key)
                                 tracer.span(ctx, "dispatch", now, sim.now,
-                                            args={"node": key,
-                                                  "attempt": _attempt})
+                                            args=obs.dispatch_args(
+                                                key, _attempt))
                         att_deadline = plane.attempt_deadline(now, deadline)
                         if att_deadline is not None and att_deadline > now:
                             self._arm_attempt_watchdog(slot, att_deadline)

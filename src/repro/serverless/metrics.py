@@ -77,6 +77,35 @@ def _accumulate_exact(partials: List[float], x: float) -> None:
     partials.append(x)
 
 
+def _accumulate_many(partials: List[float], values: Sequence[float]) -> None:
+    """Fold every value of ``values`` into ``partials``, exactly.
+
+    ``math.fsum`` rounds the exact sum of its arguments once, so peeling
+    that readout off and summing the rest again splits the exact sum of
+    ``values`` into a few floats (two or three for a chunk of
+    latencies), and only those take the per-float fold: one C-speed
+    pass per peel instead of a Python loop per value.  Non-finite input
+    takes the per-value fold.
+    """
+    rest = list(values)
+    peeled: List[float] = []
+    while True:
+        try:
+            s = math.fsum(rest)
+        except OverflowError:
+            s = math.inf
+        if not math.isfinite(s):
+            for x in values:
+                _accumulate_exact(partials, x)
+            return
+        if s == 0.0:
+            break
+        peeled.append(s)
+        rest.append(-s)
+    for s in peeled:
+        _accumulate_exact(partials, s)
+
+
 def _canonical_partials(partials: Sequence[float]) -> List[float]:
     """Canonical decomposition of the exact value held by ``partials``.
 
@@ -164,9 +193,7 @@ class LogHistogram:
             return
         arr = np.asarray(self._pending, dtype=float)
         self._count += arr.size
-        partials = self._partials
-        for x in self._pending:
-            _accumulate_exact(partials, x)
+        _accumulate_many(self._partials, self._pending)
         self.vmin = min(self.vmin, float(arr.min()))
         self.vmax = max(self.vmax, float(arr.max()))
         if self._exact is not None:

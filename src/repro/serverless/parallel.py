@@ -18,20 +18,23 @@ construction**:
   so per-node event streams equal the serial run's slices exactly;
 * **merge**: shard outcomes merge in shard order, which equals the
   serial per-node merge order because node blocks are contiguous.  At
-  the spans level each worker already remapped and sorted its trace
-  (:func:`repro.obs.merge.shard_trace`, with the remap the parent
-  computed before submitting), so the parent only merges sorted runs.
+  the spans level each worker records serial trace ids from the start
+  (the parent computes each shard's ids before submitting) and
+  content-sorts its own trace (:func:`repro.obs.merge.shard_trace`),
+  so the parent concatenates runs that are already in order.  The
+  parent receives and merges with the cyclic collector paused: the
+  shard outcomes are large, acyclic and unpickled in bulk.
 
 Statically partitioned shards exchange no events, so workers never
-wait on each other.  A worker that dies (``BrokenProcessPool``) makes
-the run re-execute serially and say so in the report, instead of
-hanging the parent.
+wait on each other.  A worker that dies (``BrokenProcessPool``) or
+runs past a bound derived from the plan makes the run re-execute
+serially and say so in the report, instead of hanging the parent.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence,
@@ -39,6 +42,7 @@ from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence,
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.obs.merge import ShardTrace
+    from repro.obs.registry import MetricsRegistry
     from repro.obs.trace import SpanTracer
 
 from repro.serverless.cluster import ClusterResult, DispatchPolicy
@@ -60,6 +64,46 @@ def resolve_jobs(jobs: int, shards: int) -> int:
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, min(jobs, shards))
+
+
+#: How long the parent waits for its shard workers before it gives up
+#: on them: a fixed allowance for the fork and the rack rebuild, plus
+#: an allowance per event of the largest shard.  A traced shard of the
+#: 10-node micro rack takes ~0.2 ms of host time per event on a 2-vCPU
+#: host, and under 0.4 ms under perfbench's shard profiler; the
+#: allowance is 50 times the former, so a slow or instrumented host
+#: stays well inside the bound and a hung run still ends.
+_WAIT_BASE_S = 120.0
+_WAIT_S_PER_EVENT = 0.01
+
+
+def _wait_bound(events_per_shard: Sequence[int]) -> float:
+    """Host seconds to wait for every shard worker of one plan."""
+    return _WAIT_BASE_S + _WAIT_S_PER_EVENT * max(events_per_shard)
+
+
+def _collect(pool: ProcessPoolExecutor, futures: List,
+             bound: float) -> Optional[List["_ShardOutcome"]]:
+    """The shards' outcomes, or None if ``bound`` seconds pass first.
+
+    On a timeout every worker process of ``pool`` is stopped and
+    reaped, so none outlives the run.  A worker that died raises
+    ``BrokenProcessPool`` here.
+    """
+    _done, late = wait(futures, timeout=bound)
+    if not late:
+        return [f.result() for f in futures]
+    # The executor has no public call that stops busy workers (before
+    # Python 3.14), and its shutdown would wait for the hung one.
+    procs = list(pool._processes.values())
+    for proc in procs:
+        proc.terminate()
+    for proc in procs:
+        proc.join(5.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    return None
 
 
 @dataclass
@@ -115,8 +159,8 @@ class _ShardOutcome:
     failed: List[Tuple[str, float, str]]
     duration: float
     pool_used_mb: float
-    registry: Optional[Dict]
-    #: The shard's remapped, content-sorted span trace (spans level).
+    registry: Optional["MetricsRegistry"]
+    #: The shard's content-sorted span trace (spans level).
     trace: Optional["ShardTrace"] = None
 
 
@@ -151,14 +195,16 @@ def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
                   group: Tuple[int, int], events: List[ArrivalEvent],
                   node_seq: List[str], warmup: Optional[float],
                   obs_level: str,
-                  remap: Optional[Dict[int, int]]) -> _ShardOutcome:
+                  remap: Optional[List[int]]) -> _ShardOutcome:
     """One shard: rebuild the world, run its owned events.
 
-    At the spans level ``remap`` maps the shard's trace ids to serial
-    ids, and the worker remaps and sorts its own trace for the merge.
+    At the spans level ``remap`` is the serial trace id of each of the
+    shard's ``begin`` calls in turn; the worker's tracer records those
+    ids, and the worker content-sorts its own trace for the merge.
     """
     from repro.obs.merge import shard_trace
     from repro.obs.observer import observed
+    from repro.obs.trace import SpanTracer
 
     # Build and prepare (replay registration) OUTSIDE the observed
     # window on every path: each worker replays the full registration
@@ -177,14 +223,15 @@ def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
     assert cluster._index is None
 
     sub = _sub_workload(workload, events, shard)
-    registry_dict: Optional[Dict] = None
+    registry = None
     trace = None
     if obs_level != "off":
-        with observed(obs_level) as obs:
+        tracer = SpanTracer(ids=remap) if obs_level == "spans" else None
+        with observed(obs_level, tracer=tracer) as obs:
             cluster.run_workload(sub, warmup=warmup)
-        registry_dict = obs.registry.to_dict()
+        registry = obs.registry
         if obs.tracer is not None:
-            trace = shard_trace(obs.tracer, remap, shard)
+            trace = shard_trace(obs.tracer, shard)
     else:
         cluster.run_workload(sub, warmup=warmup)
 
@@ -205,7 +252,7 @@ def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
         failed=list(cluster.failed),
         duration=cluster.sim.now,
         pool_used_mb=cluster.rack_pool_used_mb(),
-        registry=registry_dict,
+        registry=registry,
         trace=trace)
 
 
@@ -295,10 +342,10 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
                            mode="fallback", jobs=n_jobs,
                            reasons=list(plan.reasons))
 
-    from repro.obs.merge import (SpanMergeError, merge_shard_tracers,
-                                 shard_remaps)
+    from repro.obs.merge import (SpanMergeError, _collector_paused,
+                                 merge_shard_tracers, shard_remaps)
 
-    remaps: List[Optional[Dict[int, int]]] = [None] * plan.n_shards
+    remaps: List[Optional[List[int]]] = [None] * plan.n_shards
     if obs_level == "spans":
         remaps = shard_remaps([e.time for e in workload.events], plan)
     node_names = [f"node{i}" for i in range(spec.n_nodes)]
@@ -309,40 +356,44 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
         node_seq = [node_names[plan.assignment[i]] for i in indices]
         tasks.append((spec, workload, shard, plan.node_groups[shard],
                       events, node_seq, warmup, obs_level, remaps[shard]))
+    bound = _wait_bound([len(task[4]) for task in tasks])
+    outcomes = None
+    tracer = None
+    span_error: Optional[SpanMergeError] = None
     # One worker per shard.  ``_shard_worker`` is looked up at call time,
     # so a wrapped worker (instrumentation, fault tests) is the one sent.
     try:
         with ProcessPoolExecutor(plan.n_shards) as pool:
             futures = [pool.submit(_shard_worker, *task) for task in tasks]
-            outcomes = [f.result() for f in futures]
+            # Every worker is forked by now, with the collector as it
+            # was; from here the parent only receives and merges.
+            with _collector_paused():
+                outcomes = _collect(pool, futures, bound)
+                if outcomes is not None:
+                    result = _merge_outcomes(spec, workload, warmup, plan,
+                                             outcomes)
+                    registry = _merge_registries(outcomes, obs_level)
+                    if obs_level == "spans":
+                        try:
+                            tracer = merge_shard_tracers(
+                                [o.trace for o in outcomes])
+                        except SpanMergeError as exc:
+                            span_error = exc
     except BrokenProcessPool as exc:
         return _run_serial(spec, workload, warmup, obs_level,
                            mode="fallback", jobs=plan.n_shards,
                            reasons=[f"worker died: {exc}"])
+    if outcomes is None:
+        return _run_serial(spec, workload, warmup, obs_level,
+                           mode="fallback", jobs=plan.n_shards,
+                           reasons=["worker timed out"])
 
-    result = _merge_outcomes(spec, workload, warmup, plan, outcomes)
     report = ParallelReport(mode="parallel", jobs=plan.n_shards,
                             n_shards=plan.n_shards)
-    registry: Optional[Dict] = None
-    if obs_level != "off":
-        from repro.obs.registry import MetricsRegistry
-        combined = MetricsRegistry()
-        for outcome in outcomes:
-            assert outcome.registry is not None
-            # Shards partition one rack: counters/histograms add and
-            # gauge levels are disjoint contributions, so "sum" rebuilds
-            # the serial registry exactly (unlike independent sweep
-            # shards, where only the max of a gauge is meaningful).
-            combined.merge_from(MetricsRegistry.from_dict(outcome.registry),
-                                gauges="sum")
-        registry = combined.to_dict()
-    tracer = None
     span_merge: Optional[str] = None
     if obs_level == "spans":
-        try:
-            tracer = merge_shard_tracers([o.trace for o in outcomes])
-            span_merge = "merged"
-        except SpanMergeError as exc:
+        span_merge = "merged"
+        if span_error is not None:
             # The merge invariants should hold for every eligible plan;
             # if one broke, surface why and take the serial reference
             # path for the trace (results stay bit-identical — only the
@@ -351,7 +402,24 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
                                    mode="parallel", jobs=plan.n_shards,
                                    reasons=[])
             tracer = fallback.tracer
-            span_merge = f"fallback: {exc}"
+            span_merge = f"fallback: {span_error}"
     return ParallelRunOutcome(result=result, report=report,
                               registry=registry, tracer=tracer,
                               span_merge=span_merge)
+
+
+def _merge_registries(outcomes: List[_ShardOutcome],
+                      obs_level: str) -> Optional[Dict]:
+    """The shards' registries as one, in ``to_dict`` form."""
+    if obs_level == "off":
+        return None
+    from repro.obs.registry import MetricsRegistry
+    combined = MetricsRegistry()
+    for outcome in outcomes:
+        assert outcome.registry is not None
+        # Shards partition one rack: counters/histograms add and gauge
+        # levels are disjoint contributions, so "sum" rebuilds the
+        # serial registry exactly (unlike independent sweep shards,
+        # where only the max of a gauge is meaningful).
+        combined.merge_from(outcome.registry, gauges="sum")
+    return combined.to_dict()

@@ -1,5 +1,7 @@
 """MetricsRegistry: label normalization, merge algebra, exposition."""
 
+import json
+
 import pytest
 
 from repro.obs.registry import MetricsRegistry, render_key
@@ -255,3 +257,26 @@ def test_level_from_env(monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "verbose")
     with pytest.raises(ValueError):
         level_from_env()
+
+
+def test_pickled_registry_folds_pending_samples_and_keeps_its_dict():
+    """Shard workers ship registries pickled: the sender folds the
+    pending histogram samples, the key memo stays behind, and the
+    received registry serializes and merges exactly like the sent one."""
+    import pickle
+
+    reg = MetricsRegistry()
+    reg.inc("hits_total", 2, node="n0")
+    reg.add_gauge("level_bytes", 5.0, node="n0")
+    for i in range(50):
+        reg.observe("lat_seconds", 0.001 * (i + 1) / 3, node="n0")
+    assert reg.histogram("lat_seconds", node="n0")._pending
+    blob = pickle.dumps(reg)
+    assert not reg.histogram("lat_seconds", node="n0")._pending
+    back = pickle.loads(blob)
+    assert back._keys == {}
+    assert back.to_dict() == reg.to_dict()
+    via_dict, via_pickle = MetricsRegistry(), MetricsRegistry()
+    via_dict.merge_from(MetricsRegistry.from_dict(reg.to_dict()), "sum")
+    via_pickle.merge_from(back, "sum")
+    assert json.dumps(via_pickle.to_dict()) == json.dumps(via_dict.to_dict())

@@ -123,3 +123,37 @@ def test_histogram_merge_is_commutative(xs, ys):
     yx.merge(hy)
     yx.merge(hx)
     assert _hist_to_dict(xy) == _hist_to_dict(yx)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False,
+                   min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(finite, st.floats(0, 1e-3), dyadic), max_size=60),
+       st.lists(finite, max_size=3))
+def test_chunk_fold_equals_per_value_fold(values, start):
+    """A chunk folded at once holds the same exact sum as the values
+    folded one by one: equal canonical partials, equal readout."""
+    from repro.serverless.metrics import (_accumulate_exact,
+                                          _accumulate_many,
+                                          _canonical_partials)
+    one, many = [], []
+    for x in start:
+        _accumulate_exact(one, x)
+        _accumulate_exact(many, x)
+    for x in values:
+        _accumulate_exact(one, x)
+    _accumulate_many(many, values)
+    assert _canonical_partials(many) == _canonical_partials(one)
+
+
+def test_chunk_fold_of_non_finite_values_is_the_per_value_fold():
+    from repro.serverless.metrics import _accumulate_exact, _accumulate_many
+    for values in ([1.0, float("inf"), 2.0], [float("nan"), 0.5],
+                   [1e308, 1e308, -1e308]):
+        one, many = [], []
+        for x in values:
+            _accumulate_exact(one, x)
+        _accumulate_many(many, values)
+        assert repr(many) == repr(one)

@@ -11,7 +11,9 @@ reference every sharded run is compared against.
 
 import functools
 import json
+import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -127,6 +129,39 @@ def test_killed_worker_falls_back_to_serial(monkeypatch, hang_guard):
     monkeypatch.undo()
     ref = run_cluster_parallel(spec, workload, jobs=1)
     assert _signature(out) == _signature(ref)
+
+
+def test_hung_worker_times_out_and_falls_back(monkeypatch, hang_guard):
+    """A shard worker that blocks without dying cannot hang the run
+    either: past the plan's bound the pool's processes are stopped and
+    the run re-executes serially, saying why."""
+    original = par_mod._shard_worker
+
+    @functools.wraps(original)
+    def blocking_worker(*args):
+        if args[2] == 1:          # the shard index
+            threading.Event().wait()      # never set: blocks for good
+        return original(*args)
+
+    monkeypatch.setattr(par_mod, "_shard_worker", blocking_worker)
+    monkeypatch.setattr(par_mod, "_wait_bound", lambda events: 3.0)
+    workload = _scaleout(duration=10.0)
+    spec = ClusterSpec(n_nodes=2, seed=7)
+    out = run_cluster_parallel(spec, workload, jobs=2)
+    assert out.report.mode == "fallback"
+    assert out.report.reasons == ["worker timed out"]
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    ref = run_cluster_parallel(spec, workload, jobs=1)
+    assert _signature(out) == _signature(ref)
+
+
+def test_wait_bound_scales_with_the_largest_shard():
+    small = par_mod._wait_bound([10, 20])
+    large = par_mod._wait_bound([10, 20_000])
+    assert small >= 60.0
+    assert large > small
+    assert par_mod._wait_bound([20_000, 10]) == large
 
 
 def test_state_reading_policy_falls_back_bit_identically():
