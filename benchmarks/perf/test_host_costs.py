@@ -8,13 +8,14 @@ tests only gate two properties, each against a fixed bound.
   of Table 4) must stay within 10x from smallest to largest.
 * **Hooks cost < 2 % when off.**  With no sanitizer or observer
   installed, every hook site costs one never-taken guard such as
-  ``if hooks.active is not None``.  The cost is measured without timing
-  two noisy runs against each other: ``sys.settrace`` counts how many
-  times the guard lines execute in one run (an exact, repeatable count),
-  ``timeit`` prices one guard, and their product is divided by the best
-  untraced wall of the same run.  Guard lines are every read of
-  ``<module>.active`` in ``src/repro`` on the modules of
-  :data:`repro.analysis.shardcheck.HOOK_MODULES`, the set SIM009 checks.
+  ``if hooks.on_pool_alloc is not None``.  The cost is measured without
+  timing two noisy runs against each other: ``sys.settrace`` counts how
+  many times the guard lines execute in one run (an exact, repeatable
+  count), ``timeit`` prices one guard, and their product is divided by
+  the best untraced wall of the same run.  Guard lines are every line
+  in ``src/repro`` that reads a slot of the hook bus (any attribute of
+  a module in :data:`repro.analysis.shardcheck.HOOK_MODULES` but its
+  ``install``/``uninstall``), the reads SIM009 checks.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/perf -q``; add
 ``-s`` to print the figures.
@@ -31,14 +32,13 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import hooks as analysis_hooks
 from repro.analysis.rules import _import_aliases
-from repro.analysis.shardcheck import HOOK_MODULES
+from repro.analysis.shardcheck import HOOK_FUNCTIONS, HOOK_MODULES
 from repro.bench.harness import build_synthetic_template, make_platform
 from repro.core.mm_template import MMTemplateRegistry
 from repro.mem.address_space import AddressSpace
 from repro.mem.layout import GB, MB
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 from repro.serverless.partition import ClusterSpec
 from repro.serverless.runner import run_workload
 from repro.sim.engine import Simulator
@@ -84,7 +84,7 @@ def test_attach_host_time_is_flat_in_pages():
 # --------------------------------------------------------------- hooks off --
 
 def guard_sites():
-    """``(filename, line)`` of every ``<hook module>.active`` read in
+    """``(filename, line)`` of every hook-bus slot read in
     ``src/repro``, with filenames as the interpreter reports them."""
     sites = set()
     for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
@@ -92,7 +92,8 @@ def guard_sites():
         names = {local for local, target in _import_aliases(tree).items()
                  if target in HOOK_MODULES}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr == "active"
+            if (isinstance(node, ast.Attribute)
+                    and node.attr not in HOOK_FUNCTIONS
                     and isinstance(node.value, ast.Name)
                     and node.value.id in names):
                 sites.add((str(path), node.lineno))
@@ -124,8 +125,8 @@ def count_guards(run, sites):
 
 def guard_cost_s():
     """Host seconds for one never-taken guard: min over repeats."""
-    timer = timeit.Timer("if m.active is not None: pass",
-                         globals={"m": obs_hooks})
+    timer = timeit.Timer("if m.on_sim_event is not None: pass",
+                         globals={"m": hooks})
     number = 1_000_000
     return min(timer.repeat(repeat=7, number=number)) / number
 
@@ -189,7 +190,7 @@ def rack_rr_quarter():
 @pytest.mark.parametrize("scenario", [w2_tcxl, rack_rr_quarter],
                          ids=lambda fn: fn.__name__)
 def test_hooks_off_cost_under_two_percent(scenario):
-    assert analysis_hooks.active is None and obs_hooks.active is None
+    assert {getattr(hooks, name) for name in hooks.SLOTS} == {None}
     sites = guard_sites()
     wall = best_wall_s(scenario)
     guards = count_guards(scenario(), sites)

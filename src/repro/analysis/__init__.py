@@ -27,10 +27,11 @@ Two cooperating layers keep the reproduction's numbers trustworthy:
   conservation, tiered-pool capacity conservation, page-cache balance,
   and event-queue time monotonicity.
 
-This ``__init__`` stays import-light on purpose: instrumented hot
-modules (:mod:`repro.mem.pools`, :mod:`repro.sim.engine`, ...) import
-only :mod:`repro.analysis.hooks`, which has no dependencies, so the
-disabled-sanitizer cost is a single ``is None`` check per hook site.
+The sanitizer listens on the hook bus, :mod:`repro.obs.hooks`, next to
+the observer.  Instrumented hot modules (:mod:`repro.mem.pools`,
+:mod:`repro.sim.engine`, ...) import only that dependency-free module,
+never this package, so the disabled-sanitizer cost is a single
+``is None`` check per hook site.
 
 See ``docs/analysis.md`` for the rule and invariant catalogue.
 """

@@ -6,10 +6,11 @@ Classifies every function into a three-point lattice::
 
 where *shared state* means module-level mutable objects (dicts, lists,
 sets, ``OrderedDict``/``defaultdict``/``deque`` instances, ...) and
-class-level mutable attributes — exactly the state a sharded PDES run
-cannot allow simulation code to touch, because two shards in one
-process would race on it and a merge could not reconstruct a canonical
-value.
+class-level mutable attributes — state that outlives the simulation
+that wrote it.  Every shard of a parallel run has its own worker
+process, but one process still runs simulations one after another (a
+sweep's serial path, the test suite), and memo state carried from one
+run into the next makes a run's result depend on what ran before it.
 
 Direct effects are syntactic:
 

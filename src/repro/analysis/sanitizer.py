@@ -1,10 +1,11 @@
 """Runtime kernel-invariant sanitizer (the kmemleak/KASAN analogue).
 
 Opt-in checker for the simulated kernel's bookkeeping.  Instrumented
-modules report state transitions through :mod:`repro.analysis.hooks`
-(one ``is None`` check when disabled); an installed :class:`Sanitizer`
-mirrors those reports into *shadow ledgers* and asserts, at every hook,
-at explicit :meth:`~Sanitizer.check` barriers and at teardown, that the
+modules report state transitions through the hook bus
+(:mod:`repro.obs.hooks`, one ``is None`` check per site when disabled);
+a subscribed :class:`Sanitizer` mirrors those reports into *shadow
+ledgers* and asserts, at every hook, at explicit
+:meth:`~Sanitizer.check` barriers and at teardown, that the
 simulator's own state still agrees with the ledger.  Because the ledger
 is fed only by the accounting APIs, any code path that mutates frames,
 charges or PTE state directly — bypassing those APIs — shows up as a
@@ -59,9 +60,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis import hooks
 from repro.mem.address_space import PTE_REMOTE_RO
 from repro.mem.cow import count_equal
+from repro.obs import hooks
 
 INV_FRAME_REFCOUNT = "frame-refcount"
 INV_PROTECTED_WRITE = "protected-page-write"
@@ -344,7 +345,8 @@ class Sanitizer:
 def sanitized() -> Iterator[Sanitizer]:
     """Install a fresh sanitizer for the block; final barrier on exit.
 
-    Nests: a previously installed sanitizer is restored afterwards.  The
+    Nests: a previously installed sanitizer is restored afterwards, and
+    an installed observer stays subscribed throughout.  The
     teardown barrier only runs when the block exits cleanly, so a test
     failure is not masked by a secondary sanitizer report.
     """
@@ -354,7 +356,7 @@ def sanitized() -> Iterator[Sanitizer]:
         yield sanitizer
         sanitizer.check()
     finally:
-        hooks.uninstall(previous)
+        hooks.uninstall(sanitizer, previous)
 
 
 @contextmanager

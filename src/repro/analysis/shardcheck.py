@@ -8,11 +8,13 @@ runs five whole-program rules over it:
 
 * **SIM006** — shard-unsafe global mutable state: a module- or
   class-level mutable object written by code reachable from the
-  simulation roots.  Two shards of a PDES run sharing one process
-  would race on it, and no registry merge can reconstruct a canonical
-  value.  A deterministic memo whose value is a pure function of its
-  key may be declared safe with ``# simlint: shard-safe (reason)`` on
-  the defining line.
+  simulation roots.  Every shard of a parallel run has its own worker
+  process, but one process still runs simulations one after another
+  (a sweep's serial path, the test suite): state such an object
+  carries from one run into the next makes a run's result depend on
+  what ran before it.  A deterministic memo whose value is a pure
+  function of its key may be declared safe with
+  ``# simlint: shard-safe (reason)`` on the defining line.
 * **SIM007** — non-associative merge on a ``merge``/``merge_from``
   path: the registry merge infrastructure assumes every merge is
   associative and commutative, so shard order cannot matter.  Plain
@@ -22,10 +24,10 @@ runs five whole-program rules over it:
   iterable: float addition is not associative, so ``total += x`` over
   a ``set`` gives bit-different sums per iteration order even though
   the *math* is order-free.
-* **SIM009** — an obs/sanitizer hook invoked without the
-  zero-cost-when-off guard (``if hooks.active is not None:`` or a
-  guarded local alias): unguarded calls crash when no observer is
-  installed and silently tax the hot path when one is.
+* **SIM009** — a hook-bus slot used without the zero-cost-when-off
+  guard (``if hooks.on_pool_alloc is not None:``, the same test on
+  ``hooks.tracer`` or ``hooks.registry``, or a guarded local alias):
+  unguarded calls crash when no subscriber is installed.
 * **SIM010** — interprocedural wall-clock/RNG/environ taint reaching a
   sim sink: the whole-program version of SIM001/SIM002, catching the
   helper-function indirection the per-file rules cannot see (the PR 6
@@ -52,8 +54,11 @@ from repro.analysis.rules import (ParsedModule, Rule, Violation,
                                   _SetScope, _collect_set_bindings,
                                   _dotted_parts, _import_aliases, register)
 
-#: Hook-slot modules whose ``active`` attribute must be guard-checked.
-HOOK_MODULES = frozenset({"repro.analysis.hooks", "repro.obs.hooks"})
+#: The hook-bus module: each of its attributes is a slot to guard-check.
+HOOK_MODULES = frozenset({"repro.obs.hooks"})
+
+#: Hook-bus functions that are not slots (called unguarded by design).
+HOOK_FUNCTIONS = frozenset({"install", "uninstall"})
 
 
 @dataclass
@@ -106,13 +111,14 @@ class ShardUnsafeGlobalRule(DeepRule):
     title = "shard-unsafe global mutable state"
     rationale = (
         "A module- or class-level mutable object written by code "
-        "reachable from the simulation roots is shared across every "
-        "shard a PDES run co-locates in one process: shards race on it "
-        "and the registry merge cannot reconstruct a canonical value.  "
-        "Make the state instance-owned, key it immutably, or — for a "
-        "deterministic memo whose value is a pure function of its key — "
-        "declare it with `# simlint: shard-safe (reason)` on the "
-        "defining line.")
+        "reachable from the simulation roots outlives the run that "
+        "wrote it.  One process runs simulations one after another (a "
+        "sweep's serial path, the test suite), so memo state carried "
+        "from one run into the next makes a result depend on what ran "
+        "before it.  Make the state instance-owned, key it immutably, "
+        "or — for a deterministic memo whose value is a pure function "
+        "of its key — declare it with `# simlint: shard-safe (reason)` "
+        "on the defining line.")
 
     def check_deep(self, context: DeepContext) -> Iterator[Violation]:
         for qualname in sorted(context.effects.shared):
@@ -303,14 +309,14 @@ class FloatAccumulationRule(DeepRule):
 @register
 class UnguardedHookRule(DeepRule):
     rule_id = "SIM009"
-    title = "obs/sanitizer hook call without the zero-cost-when-off guard"
+    title = "hook-bus slot used without the zero-cost-when-off guard"
     rationale = (
-        "Instrumented modules must guard every hook invocation with "
-        "`if hooks.active is not None:` (or a checked local alias): "
-        "`active` is None unless an observer/sanitizer is installed, "
-        "so an unguarded call crashes the common case, and the guard "
-        "is what keeps the disabled-path cost at one load + one `is` "
-        "check.")
+        "Instrumented modules must guard every use of a hook-bus slot "
+        "with `if hooks.<slot> is not None:` (or a checked local "
+        "alias): a slot is None unless a subscriber (the sanitizer or "
+        "the observer) defines it, so an unguarded call crashes the "
+        "common case, and the guard is what keeps the disabled-path "
+        "cost at one load + one `is` check.")
 
     def check_deep(self, context: DeepContext) -> Iterator[Violation]:
         for relpath in sorted(context.modules):
@@ -338,9 +344,9 @@ class UnguardedHookRule(DeepRule):
                 in _import_aliases(module.tree).items()
                 if target in HOOK_MODULES}
 
-    # A "hook expression" is `<mod>.active` (key "<mod>.active") or a
-    # local alias assigned from it (key "<name>").  A call rooted at an
-    # unguarded hook expression is a violation.
+    # A "hook expression" is a slot `<mod>.<slot>` (key "<mod>.<slot>")
+    # or a local alias assigned from one (key "<name>").  A call rooted
+    # at an unguarded hook expression is a violation.
 
     def _check_scope(self, context: DeepContext, module: ParsedModule,
                      body: Sequence[ast.stmt],
@@ -349,7 +355,7 @@ class UnguardedHookRule(DeepRule):
         yield from self._check_body(context, module, body, hook_mods,
                                     aliases, frozenset())
 
-    def _active_key(self, node: ast.expr, hook_mods: Set[str],
+    def _slot_key(self, node: ast.expr, hook_mods: Set[str],
                     aliases: Set[str]) -> Optional[str]:
         """Guard key if ``node`` denotes a hook slot, else None."""
         parts = _dotted_parts(node)
@@ -358,8 +364,8 @@ class UnguardedHookRule(DeepRule):
         if len(parts) == 1 and parts[0] in aliases:
             return parts[0]
         if len(parts) == 2 and parts[0] in hook_mods and \
-                parts[1] == "active":
-            return f"{parts[0]}.active"
+                parts[1] not in HOOK_FUNCTIONS:
+            return f"{parts[0]}.{parts[1]}"
         return None
 
     def _guards_from_test(self, test: ast.expr, hook_mods: Set[str],
@@ -380,14 +386,14 @@ class UnguardedHookRule(DeepRule):
         if isinstance(test, ast.Compare) and len(test.ops) == 1 and \
                 isinstance(test.comparators[0], ast.Constant) and \
                 test.comparators[0].value is None:
-            key = self._active_key(test.left, hook_mods, aliases)
+            key = self._slot_key(test.left, hook_mods, aliases)
             if key is not None:
                 if isinstance(test.ops[0], ast.IsNot):
                     pos.add(key)
                 elif isinstance(test.ops[0], ast.Is):
                     neg.add(key)
             return pos, neg
-        key = self._active_key(test, hook_mods, aliases)
+        key = self._slot_key(test, hook_mods, aliases)
         if key is not None:
             pos.add(key)
         return pos, neg
@@ -422,7 +428,7 @@ class UnguardedHookRule(DeepRule):
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name):
                 name = stmt.targets[0].id
-                value_key = self._active_key(stmt.value, hook_mods,
+                value_key = self._slot_key(stmt.value, hook_mods,
                                              aliases)
                 live.discard(name)
                 if value_key is not None:
@@ -501,16 +507,15 @@ class UnguardedHookRule(DeepRule):
                     return
             if not isinstance(sub, ast.Call):
                 continue
-            func = sub.func
-            parts = _dotted_parts(func)
-            if not parts or len(parts) < 2:
+            parts = _dotted_parts(sub.func)
+            if not parts:
                 continue
             root_key: Optional[str] = None
             if parts[0] in aliases:
                 root_key = parts[0]
-            elif len(parts) >= 3 and parts[0] in hook_mods and \
-                    parts[1] == "active":
-                root_key = f"{parts[0]}.active"
+            elif len(parts) >= 2 and parts[0] in hook_mods and \
+                    parts[1] not in HOOK_FUNCTIONS:
+                root_key = f"{parts[0]}.{parts[1]}"
             if root_key is None or root_key in live:
                 continue
             yield self._deep_violation(

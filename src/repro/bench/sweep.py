@@ -14,8 +14,9 @@ shard's simulated outcome is a pure function of its
 process boundary can only change host-side timings, which are reported
 under a separate ``host`` key and excluded from determinism
 comparisons.  ``tests/integration/test_golden_determinism.py`` holds
-the regression gate.  A worker that dies makes the sweep re-run every
-shard serially and record why under ``host.fallback``.
+the regression gate.  A worker that dies, or a sweep that runs past a
+bound derived from its configs, makes the sweep re-run every shard
+serially and record why under ``host.fallback``.
 
 Run via ``python -m repro.cli sweep [--quick] [--jobs N]``.
 """
@@ -30,7 +31,8 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.mem.layout import GB
-from repro.serverless.parallel import resolve_jobs
+from repro.serverless.parallel import (_wait_bound, collect_or_stop,
+                                      resolve_jobs)
 
 #: Dispatch policies the sweep exercises, by their registry names.
 POLICY_NAMES = ("warm-affinity", "least-loaded", "round-robin")
@@ -107,6 +109,14 @@ def _make_workload(config: SweepConfig):
         f"unknown trace {config.trace!r}; known: {TRACE_NAMES}")
 
 
+def _sweep_bound(configs: Sequence[SweepConfig]) -> float:
+    """Host seconds to wait for a parallel sweep: the cluster runner's
+    bound for one shard that holds every config's arrivals, so even a
+    pool that ran the configs one after another stays inside it."""
+    return _wait_bound([sum(len(_make_workload(c).events)
+                            for c in configs)])
+
+
 def run_config(config: SweepConfig, obs_level: str = "off") -> Dict:
     """One shard: build a cluster from the config, run it, summarise.
 
@@ -173,11 +183,14 @@ def run_sweep(configs: Optional[Sequence[SweepConfig]] = None,
     reports: Optional[List[Dict]] = None
     fallback: Optional[str] = None
     if n > 1:
+        bound = _sweep_bound(shards)
         try:
             with ProcessPoolExecutor(n) as pool:
                 futures = [pool.submit(run_config, c, obs_level)
                            for c in shards]
-                reports = [f.result() for f in futures]
+                reports = collect_or_stop(pool, futures, bound)
+            if reports is None:
+                fallback = "worker timed out"
         except BrokenProcessPool as exc:
             fallback = f"worker died: {exc}"
     if reports is None:

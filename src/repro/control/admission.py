@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.control.config import ControlConfig
 from repro.control.slo import SLOTracker
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 from repro.sim.engine import Event, Simulator
 
 #: Gate payloads: the dispatcher waits on entry.gate and receives one.
@@ -143,14 +143,13 @@ class AdmissionController:
               reason: str) -> str:
         self.shed_counts[reason] = self.shed_counts.get(reason, 0) + 1
         self.shed_log.append((function, arrival, reason))
-        obs = obs_hooks.active
-        if obs is not None:
-            obs.registry.inc("sheds_total", function=function,
-                             reason=reason)
-            if obs.tracer is not None:
-                obs.tracer.instant("shed", now,
-                                   args={"function": function,
-                                         "reason": reason})
+        registry = hooks.registry
+        if registry is not None:
+            registry.inc("sheds_total", function=function, reason=reason)
+        tracer = hooks.tracer
+        if tracer is not None:
+            tracer.instant("shed", now,
+                           args={"function": function, "reason": reason})
         return reason
 
     # -- completion side ------------------------------------------------------
@@ -169,13 +168,12 @@ class AdmissionController:
                     entry.function, entry.arrival, now, "expired"))
                 continue
             self.admitted += 1
-            obs = obs_hooks.active
-            if obs is not None and obs.tracer is not None \
-                    and entry.ctx is not None:
-                obs.tracer.link("slot_grant", entry.t_enq, now,
-                                src=(ctx if ctx is not None else 0),
-                                dst=entry.ctx,
-                                args={"function": entry.function})
+            tracer = hooks.tracer
+            if tracer is not None and entry.ctx is not None:
+                tracer.link("slot_grant", entry.t_enq, now,
+                            src=(ctx if ctx is not None else 0),
+                            dst=entry.ctx,
+                            args={"function": entry.function})
             entry.gate.trigger(GO)   # slot transferred, count unchanged
             return
         running = self._inflight.get(function, 0)

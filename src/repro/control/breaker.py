@@ -26,7 +26,7 @@ from collections import deque
 from typing import Deque, Tuple
 
 from repro.control.config import BreakerConfig
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 
 #: Breaker states (string-valued for cheap reporting).
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
@@ -161,13 +161,14 @@ class CircuitBreaker:
             return
         self.state = state
         self.transitions += 1
-        obs = obs_hooks.active
-        if obs is not None:
-            obs.registry.inc("breaker_transitions_total",
-                             breaker=self.name, to=state)
-            if obs.tracer is not None:
-                obs.tracer.instant(f"breaker:{state}", now,
-                                   args={"breaker": self.name})
+        registry = hooks.registry
+        if registry is not None:
+            registry.inc("breaker_transitions_total", breaker=self.name,
+                         to=state)
+        tracer = hooks.tracer
+        if tracer is not None:
+            tracer.instant(f"breaker:{state}", now,
+                           args={"breaker": self.name})
 
     # -- reporting ------------------------------------------------------------
 

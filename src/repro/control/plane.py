@@ -36,6 +36,7 @@ from repro.control.breaker import CircuitBreaker
 from repro.control.config import ControlConfig
 from repro.control.retry_budget import RetryBudget
 from repro.control.slo import SLOTracker
+from repro.obs import hooks
 from repro.sim.engine import Simulator
 
 #: Why an armed control plane pins a run to the serial path
@@ -151,15 +152,13 @@ class ControlPlane:
         """An admitted invocation was given up on (deadline, budget...)."""
         self.abort_counts[reason] = self.abort_counts.get(reason, 0) + 1
         self.abort_log.append((function, arrival, reason))
-        from repro.obs import hooks as obs_hooks
-        obs = obs_hooks.active
-        if obs is not None:
-            obs.registry.inc("aborts_total", function=function,
-                             reason=reason)
-            if obs.tracer is not None:
-                obs.tracer.instant("abort", now,
-                                   args={"function": function,
-                                         "reason": reason})
+        registry = hooks.registry
+        if registry is not None:
+            registry.inc("aborts_total", function=function, reason=reason)
+        tracer = hooks.tracer
+        if tracer is not None:
+            tracer.instant("abort", now,
+                           args={"function": function, "reason": reason})
         return reason
 
     def degrade_active(self, now: float) -> bool:

@@ -15,7 +15,7 @@ Purely arithmetical (no clock, no RNG): deterministic by construction.
 from __future__ import annotations
 
 from repro.control.config import RetryBudgetConfig
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 
 
 class RetryBudget:
@@ -43,9 +43,9 @@ class RetryBudget:
             self.spent += 1
             return True
         self.denied += 1
-        obs = obs_hooks.active
-        if obs is not None:
-            obs.registry.inc("retry_budget_denied_total", kind=what)
+        registry = hooks.registry
+        if registry is not None:
+            registry.inc("retry_budget_denied_total", kind=what)
         return False
 
     def summary(self) -> dict:

@@ -30,7 +30,7 @@ from collections import deque
 from typing import Deque, Dict, List, Tuple
 
 from repro.control.config import ControlConfig, SLOTarget
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 
 
 class _WindowCounter:
@@ -107,10 +107,10 @@ class SLOTracker:
         windows[1].observe(now, ok)
         totals = self._totals[function]
         totals[0 if ok else 1] += 1
-        obs = obs_hooks.active
-        if obs is not None:
-            obs.registry.inc("slo_observations_total", function=function,
-                             outcome="good" if ok else "bad")
+        registry = hooks.registry
+        if registry is not None:
+            registry.inc("slo_observations_total", function=function,
+                         outcome="good" if ok else "bad")
 
     def burn(self, function: str, now: float) -> Tuple[float, float]:
         """(fast, slow) burn rates; (0, 0) for unconfigured functions."""

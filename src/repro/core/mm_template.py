@@ -20,12 +20,11 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Generator, Optional
 
-from repro.analysis import hooks
 from repro.criu.images import SnapshotImage
-from repro.obs import hooks as obs_hooks
 from repro.mem.address_space import (MAP_PRIVATE, AddressSpace, PageTable,
                                      VMA)
 from repro.mem.pools import DedupStore, PoolBlock
+from repro.obs import hooks
 from repro.sim.engine import Delay, Simulator
 from repro.sim.latency import LatencyModel
 
@@ -132,9 +131,9 @@ class MMTemplateRegistry:
             raise MMTemplateError(
                 f"block covers {block.npages} pages, {what} has {npages}")
         template._bind(vmas, block, block.pool.valid_mask(block.offsets))
-        if hooks.active is not None:
+        if hooks.on_pte_bound is not None:
             for vma in vmas:
-                hooks.active.on_pte_bound(vma)
+                hooks.on_pte_bound(vma)
 
     def mmt_attach(self, template: MemoryTemplate, space: AddressSpace,
                    as_root: bool = True, ctx=None) -> Generator:
@@ -162,9 +161,8 @@ class MMTemplateRegistry:
         space.attach(template)
         template.attach_count += 1
         template.sealed = True
-        act = obs_hooks.active
-        if act is not None:
-            act.on_mmt_attach(template, t0, self.sim.now, ctx)
+        if hooks.on_mmt_attach is not None:
+            hooks.on_mmt_attach(template, t0, self.sim.now, ctx)
 
     # -- internals --------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from typing import Generator, Optional
 
 from repro.criu.images import SnapshotImage
 from repro.kernel.process import Process, ProcessTable
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 from repro.sim.engine import Delay, Simulator
 from repro.sim.latency import LatencyModel
 
@@ -87,9 +87,8 @@ class CRIUEngine:
                                            address_space=space)
         yield from self.restore_process_state(proc, image, ctx=ctx)
         self.stats.full_restores += 1
-        act = obs_hooks.active
-        if act is not None:
-            act.on_criu_restore(image, t0, self.sim.now, ctx)
+        if hooks.on_criu_restore is not None:
+            hooks.on_criu_restore(image, t0, self.sim.now, ctx)
         return proc
 
     def restore_process_state(self, proc: Process, image: SnapshotImage,
@@ -105,6 +104,5 @@ class CRIUEngine:
         for i in range(image.n_fds):
             proc.open_fd(f"restored-fd-{i}")
         self.stats.threads_restored += image.n_threads - 1
-        act = obs_hooks.active
-        if act is not None:
-            act.on_proc_state_restore(image, t0, self.sim.now, ctx)
+        if hooks.on_proc_state_restore is not None:
+            hooks.on_proc_state_restore(image, t0, self.sim.now, ctx)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 from repro.sim.engine import Simulator
 
 
@@ -78,8 +78,8 @@ class FaultInjector:
 
     def _apply(self, event: FaultEvent) -> None:
         self.log.append((self.sim.now, event.kind, event.target))
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_fault_event(event.kind, event.target,
+        if hooks.on_fault_event is not None:
+            hooks.on_fault_event(event.kind, event.target,
                                             self.sim.now)
         if event.kind == FaultKind.NODE_CRASH:
             self._crash_node(event.target)
@@ -108,8 +108,8 @@ class FaultInjector:
 
     def _revert(self, event: FaultEvent, fn) -> None:
         self.log.append((self.sim.now, event.kind + "-end", event.target))
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_fault_revert(event.kind + "-end",
+        if hooks.on_fault_revert is not None:
+            hooks.on_fault_revert(event.kind + "-end",
                                              event.target, self.sim.now)
         fn()
 
@@ -128,8 +128,8 @@ class FaultInjector:
 
     def _recover_node(self, name: str) -> None:
         self.log.append((self.sim.now, FaultKind.NODE_CRASH + "-end", name))
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_fault_revert(FaultKind.NODE_CRASH + "-end",
+        if hooks.on_fault_revert is not None:
+            hooks.on_fault_revert(FaultKind.NODE_CRASH + "-end",
                                              name, self.sim.now)
         if self.cluster is not None:
             self.cluster.recover_node(name)

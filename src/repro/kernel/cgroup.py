@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional, Set
 
-from repro.analysis import hooks
+from repro.obs import hooks
 from repro.sim.engine import Delay, Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.rng import SeededRNG
@@ -46,8 +46,8 @@ class Cgroup:
         self.limits = limits
         self.procs: Set[int] = set()
         self.frozen = False
-        if hooks.active is not None:
-            hooks.active.on_cgroup_created(self)
+        if hooks.on_cgroup_created is not None:
+            hooks.on_cgroup_created(self)
 
     @property
     def empty(self) -> bool:
@@ -82,8 +82,8 @@ class CgroupManager:
         yield Delay(self.rng.uniform(lat.migrate_min, lat.migrate_max))
         cgroup.procs.add(pid)
         self.stats["migrate"] += 1
-        if hooks.active is not None:
-            hooks.active.on_cgroup_proc(cgroup, pid, added=True)
+        if hooks.on_cgroup_proc is not None:
+            hooks.on_cgroup_proc(cgroup, pid, added=True)
 
     def clone_into(self, pid: int, cgroup: Cgroup) -> Generator:
         """Timed: CLONE_INTO_CGROUP assignment at spawn (100–300 µs).
@@ -96,8 +96,8 @@ class CgroupManager:
         yield Delay(self.rng.uniform(lat.clone_into_min, lat.clone_into_max))
         cgroup.procs.add(pid)
         self.stats["clone_into"] += 1
-        if hooks.active is not None:
-            hooks.active.on_cgroup_proc(cgroup, pid, added=True)
+        if hooks.on_cgroup_proc is not None:
+            hooks.on_cgroup_proc(cgroup, pid, added=True)
 
     def reconfigure(self, cgroup: Cgroup, limits: CgroupLimits) -> Generator:
         """Timed: rewrite limits on a pooled cgroup during repurposing."""
@@ -107,5 +107,5 @@ class CgroupManager:
 
     def remove_proc(self, pid: int, cgroup: Cgroup) -> None:
         cgroup.procs.discard(pid)
-        if hooks.active is not None:
-            hooks.active.on_cgroup_proc(cgroup, pid, added=False)
+        if hooks.on_cgroup_proc is not None:
+            hooks.on_cgroup_proc(cgroup, pid, added=False)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis import hooks
 from repro.mem.layout import MB, PAGE_SIZE
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 
 
 class MemoryAccountant:
@@ -50,10 +49,8 @@ class MemoryAccountant:
                 and delta_bytes > 0):
             self.cap_violations += 1
         self._sample(now)
-        if hooks.active is not None:
-            hooks.active.on_accountant_charge(self, category, delta_bytes)
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_mem_charge(category, delta_bytes)
+        if hooks.on_accountant_charge is not None:
+            hooks.on_accountant_charge(self, category, delta_bytes)
 
     def now(self) -> float:
         """The accountant's notion of current (virtual) time."""

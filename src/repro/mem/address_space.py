@@ -33,11 +33,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis import hooks
 from repro.mem.cow import (CowPageArray, CowWindow, TemplateBase,
                            count_equal)
 from repro.mem.layout import PAGE_SIZE
 from repro.mem.pools import MemoryPool, PoolBlock
+from repro.obs import hooks
 
 PTE_NONE = 0
 PTE_LOCAL = 1
@@ -418,14 +418,15 @@ class AddressSpace(PageTable):
         self.state, self.offsets, self.content = (
             CowPageArray(a) if isinstance(a, TemplateBase) else a.copy()
             for a in arrays)
-        if hooks.active is None:
+        on_pte_bound = hooks.on_pte_bound
+        if on_pte_bound is None:
             for _, n_local in local_runs:
                 self._charge(n_local)
             return
         local = dict(local_runs)
         for k, vma in enumerate(self.vmas):
             self._charge(local.get(k, 0))
-            hooks.active.on_pte_bound(vma)
+            on_pte_bound(vma)
 
     # -- population ---------------------------------------------------------------
 
@@ -435,8 +436,8 @@ class AddressSpace(PageTable):
         self.state[vma.first:vma.first + vma.npages] = PTE_LOCAL
         _fill_missing_content(vma, content_base)
         self._charge(fresh)
-        if hooks.active is not None:
-            hooks.active.on_pte_bound(vma)
+        if hooks.on_pte_bound is not None:
+            hooks.on_pte_bound(vma)
 
     def populate_all_local(self, content_base: int = 0) -> None:
         """Materialise every VMA as local (the eager CRIU restore path).
@@ -451,9 +452,9 @@ class AddressSpace(PageTable):
         if count_equal(self.content, -1):
             for vma in self.vmas:
                 _fill_missing_content(vma, content_base)
-        if hooks.active is not None:
+        if hooks.on_pte_bound is not None:
             for vma in self.vmas:
-                hooks.active.on_pte_bound(vma)
+                hooks.on_pte_bound(vma)
         self._charge(fresh)
 
     def bind_remote(self, vma: Optional[VMA], block: PoolBlock,
@@ -473,9 +474,9 @@ class AddressSpace(PageTable):
                 f"block/vma size mismatch: {block.npages} != {npages}")
         freed = self._bind(vmas, block, valid)
         self._charge(-freed)
-        if hooks.active is not None:
+        if hooks.on_pte_bound is not None:
             for bound in vmas:
-                hooks.active.on_pte_bound(bound)
+                hooks.on_pte_bound(bound)
 
     # -- faults --------------------------------------------------------------------
 
@@ -542,8 +543,8 @@ class AddressSpace(PageTable):
             if n_fetch:
                 out.fetch_pools[pool_names[k]] += n_fetch
             self._charge(n_zero + n_cow + n_fetch)
-            if n_cow and hooks.active is not None:
-                hooks.active.on_pte_cow(self.vmas[k], n_cow)
+            if n_cow and hooks.on_pte_cow is not None:
+                hooks.on_pte_cow(self.vmas[k], n_cow)
 
     def _fault_reads(self, flat: np.ndarray, hit: np.ndarray,
                      sizes: np.ndarray, out: AccessOutcome) -> int:
@@ -629,8 +630,8 @@ class AddressSpace(PageTable):
             raise AssertionError("negative local page count")
         if self.on_local_delta is not None:
             self.on_local_delta(delta_pages)
-        if hooks.active is not None:
-            hooks.active.on_local_charge(self, delta_pages)
+        if hooks.on_local_charge is not None:
+            hooks.on_local_charge(self, delta_pages)
 
 
 def _fill_missing_content(vma: VMA, content_base: int) -> None:

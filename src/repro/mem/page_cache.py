@@ -17,9 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis import hooks
 from repro.mem.layout import PAGE_SIZE, pages_for_bytes
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 
 
 class PageCache:
@@ -49,10 +48,8 @@ class PageCache:
         self.misses += fresh
         if fresh and self.on_delta is not None:
             self.on_delta(fresh)
-        if fresh and hooks.active is not None:
-            hooks.active.on_page_cache_delta(self, fresh)
-        if fresh and obs_hooks.active is not None:
-            obs_hooks.active.on_page_cache_delta(self, fresh)
+        if fresh and hooks.on_page_cache_delta is not None:
+            hooks.on_page_cache_delta(self, fresh)
         return fresh
 
     def evict_file(self, file_id: int) -> int:
@@ -62,10 +59,8 @@ class PageCache:
             return 0
         if self.on_delta is not None:
             self.on_delta(-freed)
-        if hooks.active is not None:
-            hooks.active.on_page_cache_delta(self, -freed)
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_page_cache_delta(self, -freed)
+        if hooks.on_page_cache_delta is not None:
+            hooks.on_page_cache_delta(self, -freed)
         return freed
 
     def drop_all(self) -> int:
@@ -74,10 +69,8 @@ class PageCache:
         self._files.clear()
         if freed and self.on_delta is not None:
             self.on_delta(-freed)
-        if freed and hooks.active is not None:
-            hooks.active.on_page_cache_delta(self, -freed)
-        if freed and obs_hooks.active is not None:
-            obs_hooks.active.on_page_cache_delta(self, -freed)
+        if freed and hooks.on_page_cache_delta is not None:
+            hooks.on_page_cache_delta(self, -freed)
         return freed
 
     @property

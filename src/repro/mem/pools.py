@@ -27,11 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis import hooks
 from repro.faults.errors import (PoolExhaustedError, PoolTimeoutError,
                                  PoolUnavailableError)
-from repro.obs import hooks as obs_hooks
 from repro.mem.layout import PAGE_SIZE
+from repro.obs import hooks
 from repro.sim.latency import LatencyModel
 
 
@@ -141,10 +140,8 @@ class MemoryPool:
         base = self._next_offset
         self._next_offset += npages
         self._stored_pages += npages
-        if hooks.active is not None:
-            hooks.active.on_pool_alloc(self, npages)
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_pool_alloc(self, npages)
+        if hooks.on_pool_alloc is not None:
+            hooks.on_pool_alloc(self, npages)
         return np.arange(base, base + npages, dtype=np.int64)
 
     @property
@@ -171,8 +168,8 @@ class MemoryPool:
         t = self._fetch_time(npages, concurrency)
         if self.degrade_factor != 1.0:
             t *= self.degrade_factor
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_pool_fetch(self, npages, t)
+        if hooks.on_pool_fetch is not None:
+            hooks.on_pool_fetch(self, npages, t)
         return t
 
     def read_overhead(self, nloads: int) -> float:
@@ -181,8 +178,8 @@ class MemoryPool:
         t = self._read_overhead(nloads)
         if self.degrade_factor != 1.0:
             t *= self.degrade_factor
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_pool_read(self, nloads)
+        if hooks.on_pool_read is not None:
+            hooks.on_pool_read(self, nloads)
         return t
 
     def _fetch_time(self, npages: int, concurrency: int = 1) -> float:
@@ -325,10 +322,8 @@ class TieredPool(MemoryPool):
         # Tag cold offsets with a high bit so valid_mask can split them.
         out[~hot_mask] = cold + _COLD_TAG
         self._stored_pages += npages
-        if hooks.active is not None:
-            hooks.active.on_pool_alloc(self, npages)
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_pool_alloc(self, npages)
+        if hooks.on_pool_alloc is not None:
+            hooks.on_pool_alloc(self, npages)
         return out
 
     def split_offsets(self, offsets: np.ndarray):

@@ -5,17 +5,15 @@ pages in CXL and cold pages in RDMA integrates seamlessly with our
 approach" — the placement policy itself is orthogonal to TrEnv, so the
 paper leaves it open.  We implement the natural one: pages in the
 function's recorded working set (the same profile REAP uses) go to the
-byte-addressable hot tier; never-touched snapshot pages go cold.  A
-frequency tracker supports re-planning as access patterns drift.
+byte-addressable hot tier; never-touched snapshot pages go cold.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.mem.trace import AccessTrace
 from repro.sim.rng import SeededRNG
 from repro.workloads.functions import FunctionProfile
 
@@ -40,42 +38,3 @@ def working_set_hot_mask(profile: FunctionProfile, rng: SeededRNG,
             mask[:] = False
             mask[hot_idx[:budget]] = True
     return mask
-
-
-class AccessFrequencyTracker:
-    """Counts page touches across invocations to support re-planning.
-
-    The kernel analogue is page-access scanning (e.g. DAMON); here the
-    platform feeds observed traces in, and :meth:`hot_mask` ranks pages
-    by touch count.
-    """
-
-    def __init__(self, npages: int):
-        self.npages = npages
-        self.counts = np.zeros(npages, dtype=np.int64)
-        self.invocations = 0
-
-    def observe(self, trace: AccessTrace) -> None:
-        if len(trace.read_pages) and trace.read_pages.max() >= self.npages:
-            raise IndexError("trace page beyond tracked image")
-        self.counts[trace.read_pages] += 1
-        self.invocations += 1
-
-    def hot_mask(self, fraction: float) -> np.ndarray:
-        """The hottest ``fraction`` of the image by touch count."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction out of range: {fraction}")
-        budget = int(round(self.npages * fraction))
-        mask = np.zeros(self.npages, dtype=bool)
-        if budget == 0 or self.invocations == 0:
-            return mask
-        order = np.argsort(-self.counts, kind="stable")
-        chosen = order[:budget]
-        mask[chosen[self.counts[chosen] > 0]] = True
-        return mask
-
-    def touch_rate(self) -> np.ndarray:
-        """Per-page probability of being touched by an invocation."""
-        if self.invocations == 0:
-            return np.zeros(self.npages)
-        return self.counts / self.invocations

@@ -1,9 +1,11 @@
 """repro.obs: virtual-time tracing, metrics and Perfetto export.
 
 Deliberately import-light: instrumented hot paths import only
-:mod:`repro.obs.hooks` (dependency-free), and this package root defers
-everything else so ``import repro.obs`` can never create a cycle with
-the modules it observes.  Entry points:
+:mod:`repro.obs.hooks`, the dependency-free hook bus that both the
+observer and the runtime sanitizer (:mod:`repro.analysis.sanitizer`)
+subscribe to, and this package root defers everything else so
+``import repro.obs`` can never create a cycle with the modules it
+observes.  Entry points:
 
 * :func:`repro.obs.observer.observed` — context manager installing an
   observer at level ``"metrics"`` or ``"spans"``;
@@ -20,8 +22,7 @@ the modules it observes.  Entry points:
 
 from __future__ import annotations
 
-__all__ = ["observed", "maybe_observed", "install", "uninstall",
-           "level_from_env"]
+__all__ = ["observed", "maybe_observed", "level_from_env"]
 
 
 def __getattr__(name: str):

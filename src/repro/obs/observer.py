@@ -1,4 +1,4 @@
-"""The active observability object: metrics registry + optional tracer.
+"""The observability subscriber: metrics registry + optional tracer.
 
 Two levels:
 
@@ -6,10 +6,11 @@ Two levels:
   is a dict update);
 * ``"spans"`` — metrics plus the virtual-time span tracer.
 
-Installation mirrors :mod:`repro.analysis.sanitizer`: a module-level
-``hooks.active`` slot, ``observed(...)`` as the context manager, and
-``maybe_observed()`` gated on the ``REPRO_OBS`` environment variable so
-the whole test suite (or any run) can be wrapped without code changes.
+:func:`observed` subscribes an :class:`Observability` to the hook bus
+(:mod:`repro.obs.hooks`) for a block, next to the sanitizer if one is
+installed, and ``maybe_observed()`` gates that on the ``REPRO_OBS``
+environment variable so the whole test suite (or any run) can be
+wrapped without code changes.
 
 The contract shared with the sanitizer and the host-side hot paths:
 observers read simulated state, they never add Delays, RNG draws or any
@@ -32,18 +33,19 @@ LEVELS = ("off", "metrics", "spans")
 
 
 class Observability:
-    """Holds the registry (+ tracer) and receives every hook call.
+    """Holds the registry (+ tracer) and receives its hook calls.
 
-    Instrumented modules call the ``on_*`` methods below through
-    ``hooks.active``; platform code with richer context (the invocation
-    lifecycle) uses :attr:`tracer` and :attr:`registry` directly.
+    Each ``on_*`` method below fills the :mod:`repro.obs.hooks` slot of
+    the same name; code with richer context (the invocation lifecycle)
+    reads :attr:`tracer` and :attr:`registry` through ``hooks.tracer``
+    and ``hooks.registry``.
 
     Hot hooks resolve their series keys once per pool, memory
     category, image, template layout or node, and build each span's
-    ``args`` once per image, template layout, start kind or dispatch
-    target: every span of that object shares one dict, so callers must
-    treat span args as read-only.  A shared dict is also pickled once
-    per shard trace, through pickle's memo.
+    ``args`` once per image or template layout: every span of that
+    object shares one dict, so callers must treat span args as
+    read-only.  A shared dict is also pickled once per shard trace,
+    through pickle's memo.
     """
 
     def __init__(self, level: str = "spans",
@@ -76,8 +78,6 @@ class Observability:
         self._image_facts: Dict[object, Tuple[int, Dict, Dict]] = {}
         self._template_facts: Dict[Tuple, Tuple[int, Dict]] = {}
         self._dispatch_keys: Dict[str, MetricKey] = {}
-        self._dispatch_args: Dict[Tuple[str, int], Dict] = {}
-        self._kind_args: Dict[str, Dict] = {}
 
     # -- memory subsystem hooks ----------------------------------------------
 
@@ -114,7 +114,8 @@ class Observability:
             self.registry.inc("page_cache_evicted_pages_total", -delta,
                               cache=cache.name)
 
-    def on_mem_charge(self, category: str, delta_bytes: int) -> None:
+    def on_accountant_charge(self, accountant, category: str,
+                             delta_bytes: int) -> None:
         keys = self._charge_keys.get(category)
         if keys is None:
             key = self.registry.key
@@ -196,21 +197,6 @@ class Observability:
                 "dispatches_total", node=node)
         self.registry.inc_key(key)
 
-    def dispatch_args(self, node: str, attempt: int) -> Dict:
-        """The shared args of a ``dispatch`` span."""
-        args = self._dispatch_args.get((node, attempt))
-        if args is None:
-            args = self._dispatch_args[(node, attempt)] = {
-                "node": node, "attempt": attempt}
-        return args
-
-    def kind_args(self, kind: str) -> Dict:
-        """The shared args of an ``acquire`` span."""
-        args = self._kind_args.get(kind)
-        if args is None:
-            args = self._kind_args[kind] = {"kind": kind}
-        return args
-
     # -- fault-domain hooks ---------------------------------------------------
 
     def on_fault_event(self, kind: str, target: str, t: float) -> None:
@@ -260,25 +246,17 @@ class Observability:
             key("invocation_seconds", platform=platform, phase="exec"),
         )
 
-    def on_retire(self, platform_name: str, function: str,
-                  reason: str) -> None:
+    def on_retire(self, platform_name: str, node_name: str, function: str,
+                  reason: str, t0: float, t1: float) -> None:
         self.registry.inc("retires_total", platform=platform_name,
                           reason=reason)
+        if self.tracer is not None:
+            self.tracer.node_span(node_name, "retire", t0, t1,
+                                  args={"function": function,
+                                        "reason": reason})
 
 
 # -- installation -------------------------------------------------------------
-
-def install(level: str = "spans",
-            registry: Optional[MetricsRegistry] = None) -> Observability:
-    """Install a fresh observer; returns it.  Pair with uninstall()."""
-    obs = Observability(level, registry=registry)
-    hooks.install(obs)
-    return obs
-
-
-def uninstall(previous: Optional[Observability] = None) -> None:
-    hooks.uninstall(previous)
-
 
 @contextlib.contextmanager
 def observed(level: str = "spans",
@@ -287,7 +265,8 @@ def observed(level: str = "spans",
     """Context manager: observe everything inside the block.
 
     Yields the :class:`Observability`; the previous observer (usually
-    None) is restored on exit.  ``tracer`` replaces the fresh tracer of
+    None) is restored on exit, and an installed sanitizer stays
+    subscribed throughout.  ``tracer`` replaces the fresh tracer of
     the spans level (a shard worker passes one that hands out serial
     trace ids).
     """
@@ -299,7 +278,7 @@ def observed(level: str = "spans",
     try:
         yield obs
     finally:
-        hooks.uninstall(previous)
+        hooks.uninstall(obs, previous)
 
 
 def level_from_env() -> str:

@@ -90,6 +90,7 @@ class SpanTracer:
         #: 1 + the number of begin() calls so far.
         self._next_id = 1
         self._ids = ids
+        self._shared_args: Dict[Tuple, Dict] = {}
 
     # -- identity ------------------------------------------------------------
 
@@ -186,6 +187,17 @@ class SpanTracer:
             return
         self.spans.append((t0, t1, ctx.pid, ctx.tid, name, cat,
                            ctx.trace_id, args))
+
+    def shared_args(self, **fields) -> Dict:
+        """One ``args`` dict per distinct ``fields``, shared by every
+        span that passes the same fields: callers must treat span args
+        as read-only.  A shared dict also pickles once per shard trace,
+        through pickle's memo."""
+        key = tuple(fields.items())
+        args = self._shared_args.get(key)
+        if args is None:
+            args = self._shared_args[key] = fields
+        return args
 
     def node_span(self, node_name: str, name: str, t0: float, t1: float,
                   cat: str = "node", args: Optional[Dict] = None) -> None:

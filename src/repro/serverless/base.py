@@ -32,7 +32,7 @@ from repro.mem.layout import PAGE_SIZE
 from repro.mem.page_cache import FileIdRegistry, PageCache
 from repro.mem.pools import MemoryPool
 from repro.node import Node
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 from repro.serverless.metrics import InvocationResult, LatencyRecorder
 from repro.sim.engine import Delay, Interrupt
 from repro.sim.rng import SeededRNG
@@ -281,8 +281,7 @@ class ServerlessPlatform:
             self.keep_alive_policy.observe_arrival(function, arrival)
         inv_idx = next(self._inv_counter)
         t0 = self.node.now
-        obs = obs_hooks.active
-        tracer = obs.tracer if obs is not None else None
+        tracer = hooks.tracer
         own_ctx = False
         if tracer is not None:
             if ctx is None:
@@ -307,9 +306,9 @@ class ServerlessPlatform:
             else:
                 inst, kind = yield from self._acquire(profile, ctx)
                 inst.obs_ctx = ctx
-                if obs is not None and tracer is not None:
+                if tracer is not None:
                     tracer.span(ctx, "acquire", t_acquire, self.node.now,
-                                args=obs.kind_args(kind))
+                                args=tracer.shared_args(kind=kind))
             startup = self.node.now - t_acquire
             t1 = self.node.now
             retries, degraded = yield from self.execute(inst, profile, inv_idx)
@@ -355,18 +354,17 @@ class ServerlessPlatform:
                                   queue=queue_wait,
                                   retries=retries, degraded=degraded)
         self.recorder.record(result)
-        if obs is not None:
-            obs.on_invocation(self.name, result)
-            if tracer is not None:
-                if queue_wait > 0:
-                    tracer.span(ctx, "queue", t0, t0 + queue_wait)
-                tracer.span(ctx, function, t0, self.node.now,
-                            cat="invocation",
-                            args={"kind": kind, "queue": queue_wait,
-                                  "retries": retries,
-                                  "degraded": degraded})
-                if own_ctx:
-                    tracer.finish(ctx, self.node.now)
+        if hooks.on_invocation is not None:
+            hooks.on_invocation(self.name, result)
+        if tracer is not None:
+            if queue_wait > 0:
+                tracer.span(ctx, "queue", t0, t0 + queue_wait)
+            tracer.span(ctx, function, t0, self.node.now,
+                        cat="invocation",
+                        args={"kind": kind, "queue": queue_wait,
+                              "retries": retries, "degraded": degraded})
+            if own_ctx:
+                tracer.finish(ctx, self.node.now)
         return result
 
     def _abort_crashed_instance(self, inst: Optional[Instance]) -> None:
@@ -413,14 +411,13 @@ class ServerlessPlatform:
         queue = self._admission_queues.get(function)
         if queue:
             gate, waiter_ctx, t_enq = queue.pop(0)
-            obs = obs_hooks.active
-            if (obs is not None and obs.tracer is not None
-                    and waiter_ctx is not None):
-                obs.tracer.link("slot_grant", t_enq, self.node.now,
-                                src=(ctx if ctx is not None else 0),
-                                dst=waiter_ctx,
-                                args={"function": function,
-                                      "node": self.node.name})
+            tracer = hooks.tracer
+            if tracer is not None and waiter_ctx is not None:
+                tracer.link("slot_grant", t_enq, self.node.now,
+                            src=(ctx if ctx is not None else 0),
+                            dst=waiter_ctx,
+                            args={"function": function,
+                                  "node": self.node.name})
             gate.trigger()
         else:
             # .get guards the post-crash case where counters were reset
@@ -468,9 +465,11 @@ class ServerlessPlatform:
         """
         node = self.node
         lat = node.latency.mem
-        obs = obs_hooks.active
-        tracer = obs.tracer if obs is not None else None
-        ctx = inst.obs_ctx if tracer is not None else None
+        # invoke() sets the context only when it traces the invocation.
+        ctx = inst.obs_ctx
+        tracer = None
+        if ctx is not None:
+            tracer = hooks.tracer
         trace = profile.make_trace(self.trace_rng, inv_idx)
         outcome = inst.space.access(trace.read_pages, trace.write_pages,
                                     trace.read_loads)
@@ -664,12 +663,12 @@ class ServerlessPlatform:
             return
         self.crashed = True
         self.crash_count += 1
-        obs = obs_hooks.active
-        if obs is not None:
-            obs.registry.inc("node_crashes_total", node=self.node.name)
-            if obs.tracer is not None:
-                obs.tracer.instant("node_crash", self.node.now,
-                                   node=self.node.name)
+        registry = hooks.registry
+        if registry is not None:
+            registry.inc("node_crashes_total", node=self.node.name)
+        tracer = hooks.tracer
+        if tracer is not None:
+            tracer.instant("node_crash", self.node.now, node=self.node.name)
         for inst in self.warm.idle_instances():
             inst.retired = True
             inst.space.destroy()
@@ -681,10 +680,9 @@ class ServerlessPlatform:
     def recover(self) -> None:
         """Untimed: the node comes back, cold — no warm instances."""
         self.crashed = False
-        obs = obs_hooks.active
-        if obs is not None and obs.tracer is not None:
-            obs.tracer.instant("node_recover", self.node.now,
-                               node=self.node.name)
+        tracer = hooks.tracer
+        if tracer is not None:
+            tracer.instant("node_recover", self.node.now, node=self.node.name)
 
     def _on_crash(self) -> None:
         """Hook: subclass state lost with the node (sandbox pools, ...)."""
@@ -725,22 +723,18 @@ class ServerlessPlatform:
     def _spawn_retire(self, inst: Instance, reason: str) -> None:
         """Spawn the retirement task, wrapped for observability if on."""
         gen = self._retire(inst)
-        obs = obs_hooks.active
-        if obs is not None:
-            gen = self._observed_retire(gen, inst, reason, obs)
+        on_retire = hooks.on_retire
+        if on_retire is not None:
+            gen = self._observed_retire(gen, inst, reason, on_retire)
         self.node.sim.spawn(gen, name=f"{reason}-{inst.instance_id}")
 
     def _observed_retire(self, gen: Generator, inst: Instance,
-                         reason: str, obs) -> Generator:
+                         reason: str, on_retire) -> Generator:
         """yield-from wrapper: engine-transparent, reports the retirement."""
         t0 = self.node.now
         result = yield from gen
-        obs.on_retire(self.name, inst.function, reason)
-        if obs.tracer is not None:
-            obs.tracer.node_span(self.node.name, "retire", t0,
-                                 self.node.now,
-                                 args={"function": inst.function,
-                                       "reason": reason})
+        on_retire(self.name, self.node.name, inst.function, reason, t0,
+                  self.node.now)
         return result
 
     def _apply_memory_pressure(self) -> None:

@@ -30,7 +30,7 @@ from repro.control.plane import ControlPlane
 from repro.faults.errors import (AttemptTimeoutError, DeadlineExceededError,
                                  NodeCrashedError)
 from repro.node import Node
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 from repro.serverless.base import ServerlessPlatform
 from repro.serverless.metrics import LatencyRecorder
 from repro.sim.engine import Delay, Interrupt, Simulator
@@ -392,18 +392,17 @@ class Cluster:
     def run_workload(self, workload: Workload,
                      warmup: Optional[float] = None) -> ClusterResult:
         chosen_warmup = self.prepare_workload(workload, warmup)
-        obs0 = obs_hooks.active
-        if obs0 is not None and obs0.tracer is not None:
+        tracer0 = hooks.tracer
+        if tracer0 is not None:
             # Pin node->pid to rack order before any dispatch: every
             # parallel shard worker rebuilds the same rack and prebinds
             # identically, so serial and merged shard traces agree on
             # pids by construction (first-bind order would depend on
             # which events a worker owns).
-            obs0.tracer.prebind_nodes(p.node.name for p in self.platforms)
+            tracer0.prebind_nodes(p.node.name for p in self.platforms)
 
         def dispatch(event, slot):
-            obs = obs_hooks.active
-            tracer = obs.tracer if obs is not None else None
+            tracer = hooks.tracer
             ctx = None
             if tracer is not None:
                 ctx = tracer.begin(event.function, self.sim.now)
@@ -436,14 +435,13 @@ class Cluster:
                     self.dispatch_counts[key] = (
                         self.dispatch_counts.get(key, 0) + 1)
                     slot["node"] = key
-                    if obs is not None:
-                        obs.on_dispatch(key)
-                        if tracer is not None:
-                            tracer.bind(ctx, key)
-                            tracer.span(ctx, "dispatch", t_att,
-                                        self.sim.now,
-                                        args=obs.dispatch_args(key,
-                                                               _attempt))
+                    if hooks.on_dispatch is not None:
+                        hooks.on_dispatch(key)
+                    if tracer is not None:
+                        tracer.bind(ctx, key)
+                        tracer.span(ctx, "dispatch", t_att, self.sim.now,
+                                    args=tracer.shared_args(
+                                        node=key, attempt=_attempt))
                     try:
                         yield from platform.invoke(event.function,
                                                    arrival=event.time,
@@ -452,15 +450,15 @@ class Cluster:
                     except NodeCrashedError:
                         excluded.add(key)
                         self.redispatches += 1
-                        if obs is not None:
-                            obs.registry.inc("redispatches_total")
-                            if tracer is not None:
-                                tracer.instant("redispatch", self.sim.now,
-                                               ctx=ctx,
-                                               args={"from": key})
-                                tracer.link("crash_redispatch", t_att,
-                                            self.sim.now, dst=ctx,
-                                            args={"from": key})
+                        registry = hooks.registry
+                        if registry is not None:
+                            registry.inc("redispatches_total")
+                        if tracer is not None:
+                            tracer.instant("redispatch", self.sim.now,
+                                           ctx=ctx, args={"from": key})
+                            tracer.link("crash_redispatch", t_att,
+                                        self.sim.now, dst=ctx,
+                                        args={"from": key})
                     finally:
                         slot["node"] = None
                 self.failed.append((event.function, event.time,
@@ -483,8 +481,7 @@ class Cluster:
             """
             plane = self.control_plane
             sim = self.sim
-            obs = obs_hooks.active
-            tracer = obs.tracer if obs is not None else None
+            tracer = hooks.tracer
             ctx = None
             if tracer is not None:
                 ctx = tracer.begin(event.function, sim.now)
@@ -574,13 +571,13 @@ class Cluster:
                         self.dispatch_counts[key] = (
                             self.dispatch_counts.get(key, 0) + 1)
                         slot["node"] = key
-                        if obs is not None:
-                            obs.on_dispatch(key)
-                            if tracer is not None:
-                                tracer.bind(ctx, key)
-                                tracer.span(ctx, "dispatch", now, sim.now,
-                                            args=obs.dispatch_args(
-                                                key, _attempt))
+                        if hooks.on_dispatch is not None:
+                            hooks.on_dispatch(key)
+                        if tracer is not None:
+                            tracer.bind(ctx, key)
+                            tracer.span(ctx, "dispatch", now, sim.now,
+                                        args=tracer.shared_args(
+                                            node=key, attempt=_attempt))
                         att_deadline = plane.attempt_deadline(now, deadline)
                         if att_deadline is not None and att_deadline > now:
                             self._arm_attempt_watchdog(slot, att_deadline)
@@ -597,15 +594,15 @@ class Cluster:
                                                   sim.now - now)
                             excluded.add(key)
                             self.redispatches += 1
-                            if obs is not None:
-                                obs.registry.inc("redispatches_total")
-                                if tracer is not None:
-                                    tracer.instant("redispatch", sim.now,
-                                                   ctx=ctx,
-                                                   args={"from": key})
-                                    tracer.link("crash_redispatch", now,
-                                                sim.now, dst=ctx,
-                                                args={"from": key})
+                            registry = hooks.registry
+                            if registry is not None:
+                                registry.inc("redispatches_total")
+                            if tracer is not None:
+                                tracer.instant("redispatch", sim.now,
+                                               ctx=ctx, args={"from": key})
+                                tracer.link("crash_redispatch", now,
+                                            sim.now, dst=ctx,
+                                            args={"from": key})
                             if not plane.budget.try_spend("redispatch"):
                                 abort_reason = "retry-budget"
                                 break
@@ -614,9 +611,10 @@ class Cluster:
                                                   sim.now - now)
                             excluded.add(key)
                             self.attempt_timeouts += 1
-                            if obs is not None:
-                                obs.registry.inc("attempt_timeouts_total",
-                                                 node=key)
+                            registry = hooks.registry
+                            if registry is not None:
+                                registry.inc("attempt_timeouts_total",
+                                             node=key)
                             if not plane.budget.try_spend(
                                     "attempt-timeout"):
                                 abort_reason = "retry-budget"

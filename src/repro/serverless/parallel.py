@@ -37,7 +37,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence,
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
                     Tuple)
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
@@ -82,13 +82,15 @@ def _wait_bound(events_per_shard: Sequence[int]) -> float:
     return _WAIT_BASE_S + _WAIT_S_PER_EVENT * max(events_per_shard)
 
 
-def _collect(pool: ProcessPoolExecutor, futures: List,
-             bound: float) -> Optional[List["_ShardOutcome"]]:
-    """The shards' outcomes, or None if ``bound`` seconds pass first.
+def collect_or_stop(pool: ProcessPoolExecutor, futures: List,
+                    bound: float) -> Optional[List[Any]]:
+    """The futures' results in order, or None if ``bound`` seconds
+    pass first.
 
     On a timeout every worker process of ``pool`` is stopped and
     reaped, so none outlives the run.  A worker that died raises
-    ``BrokenProcessPool`` here.
+    ``BrokenProcessPool`` here.  The parallel cluster runner and the
+    sweep runner both wait through this one helper.
     """
     _done, late = wait(futures, timeout=bound)
     if not late:
@@ -182,21 +184,35 @@ class ParallelRunOutcome:
     span_merge: Optional[str] = None
 
 
+@dataclass
+class _ShardWorkload(Workload):
+    """One shard's events with the whole workload's config fields and
+    function list: the worker registers every function of the workload,
+    so registration replays the serial run's, while the task carries
+    only the shard's own events."""
+
+    functions: List[str] = field(default_factory=list)
+
+    def functions_used(self) -> List[str]:
+        return self.functions
+
+
 def _sub_workload(workload: Workload, events: List[ArrivalEvent],
-                  shard: int) -> Workload:
-    return Workload(name=f"{workload.name}/shard{shard}",
-                    events=list(events), duration=workload.duration,
-                    soft_cap_bytes=workload.soft_cap_bytes,
-                    keep_alive=workload.keep_alive,
-                    warmup=workload.warmup)
+                  shard: int, functions: List[str]) -> _ShardWorkload:
+    return _ShardWorkload(name=f"{workload.name}/shard{shard}",
+                          events=events, duration=workload.duration,
+                          soft_cap_bytes=workload.soft_cap_bytes,
+                          keep_alive=workload.keep_alive,
+                          warmup=workload.warmup, functions=functions)
 
 
-def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
-                  group: Tuple[int, int], events: List[ArrivalEvent],
-                  node_seq: List[str], warmup: Optional[float],
-                  obs_level: str,
+def _shard_worker(spec: ClusterSpec, workload: _ShardWorkload, shard: int,
+                  group: Tuple[int, int], node_seq: List[str],
+                  warmup: Optional[float], obs_level: str,
                   remap: Optional[List[int]]) -> _ShardOutcome:
     """One shard: rebuild the world, run its owned events.
+
+    ``workload`` holds the shard's events only (:func:`_sub_workload`).
 
     At the spans level ``remap`` is the serial trace id of each of the
     shard's ``begin`` calls in turn; the worker's tracer records those
@@ -211,8 +227,8 @@ def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
     # for state parity, so observing it would count registration-time
     # metrics n_shards times.  The registry covers the timed run only —
     # the serial path does the same, keeping the merged registry
-    # identical.  Preparing with the FULL workload (not the shard's
-    # subsequence) also matters for state parity itself: a shard whose
+    # identical.  Registering the FULL workload's functions (not the
+    # shard's subset) also matters for state parity itself: a shard whose
     # events happen to use fewer functions would otherwise register a
     # subset, skewing shared pool/store contents and registration RNG.
     cluster = spec.build()
@@ -222,18 +238,17 @@ def _shard_worker(spec: ClusterSpec, workload: Workload, shard: int,
     # (built for stateful policies only) is never consulted for it.
     assert cluster._index is None
 
-    sub = _sub_workload(workload, events, shard)
     registry = None
     trace = None
     if obs_level != "off":
         tracer = SpanTracer(ids=remap) if obs_level == "spans" else None
         with observed(obs_level, tracer=tracer) as obs:
-            cluster.run_workload(sub, warmup=warmup)
+            cluster.run_workload(workload, warmup=warmup)
         registry = obs.registry
         if obs.tracer is not None:
             trace = shard_trace(obs.tracer, shard)
     else:
-        cluster.run_workload(sub, warmup=warmup)
+        cluster.run_workload(workload, warmup=warmup)
 
     start, end = group
     owned = cluster.platforms[start:end]
@@ -349,14 +364,16 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
     if obs_level == "spans":
         remaps = shard_remaps([e.time for e in workload.events], plan)
     node_names = [f"node{i}" for i in range(spec.n_nodes)]
+    functions = workload.functions_used()
     tasks = []
     for shard in range(plan.n_shards):
         indices = plan.owned_events(shard)
         events = [workload.events[i] for i in indices]
         node_seq = [node_names[plan.assignment[i]] for i in indices]
-        tasks.append((spec, workload, shard, plan.node_groups[shard],
-                      events, node_seq, warmup, obs_level, remaps[shard]))
-    bound = _wait_bound([len(task[4]) for task in tasks])
+        tasks.append((spec, _sub_workload(workload, events, shard, functions),
+                      shard, plan.node_groups[shard], node_seq, warmup,
+                      obs_level, remaps[shard]))
+    bound = _wait_bound([len(task[1].events) for task in tasks])
     outcomes = None
     tracer = None
     span_error: Optional[SpanMergeError] = None
@@ -368,7 +385,7 @@ def run_cluster_parallel(spec: ClusterSpec, workload: Workload,
             # Every worker is forked by now, with the collector as it
             # was; from here the parent only receives and merges.
             with _collector_paused():
-                outcomes = _collect(pool, futures, bound)
+                outcomes = collect_or_stop(pool, futures, bound)
                 if outcomes is not None:
                     result = _merge_outcomes(spec, workload, warmup, plan,
                                              outcomes)

@@ -9,7 +9,7 @@ important; these implementations let the benches quantify that.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -95,36 +95,3 @@ class HistogramKeepAlive(KeepAlivePolicy):
 
     def samples(self, function: str) -> int:
         return len(self._gaps.get(function, []))
-
-
-class PressureAwareKeepAlive(KeepAlivePolicy):
-    """Shrink keep-alive windows while the rack signals overload.
-
-    Wraps any inner policy.  While ``under_pressure()`` returns True —
-    typically wired to the control plane's burn-rate degrade signal,
-    ``lambda: plane.degrade_active(sim.now)`` — windows are multiplied
-    by ``shrink``, so idle instances are released sooner and their
-    memory goes to the work the rack is still completing.  Off the
-    overload path the inner policy is passed through untouched, so an
-    unarmed cluster behaves identically to the inner policy alone.
-    """
-
-    name = "pressure"
-
-    def __init__(self, inner: KeepAlivePolicy,
-                 under_pressure: Callable[[], bool],
-                 shrink: float = 0.25):
-        if not 0.0 <= shrink <= 1.0:
-            raise ValueError(f"shrink must be in [0, 1]: {shrink}")
-        self.inner = inner
-        self.under_pressure = under_pressure
-        self.shrink = shrink
-
-    def observe_arrival(self, function: str, now: float) -> None:
-        self.inner.observe_arrival(function, now)
-
-    def window(self, function: str) -> float:
-        window = self.inner.window(function)
-        if self.under_pressure():
-            return window * self.shrink
-        return window

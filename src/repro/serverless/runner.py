@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.control.config import ControlConfig
 from repro.node import Node
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 from repro.serverless.base import ServerlessPlatform
 from repro.serverless.metrics import LatencyRecorder
 from repro.workloads.functions import FUNCTIONS, FunctionProfile, function_by_name
@@ -68,8 +68,7 @@ def run_workload(platform: ServerlessPlatform, workload: Workload,
                                            control.concurrency_for(name))
 
     def invoke(event):
-        obs = obs_hooks.active
-        tracer = obs.tracer if obs is not None else None
+        tracer = hooks.tracer
         if tracer is None:
             yield from platform.invoke(event.function, arrival=event.time)
             return

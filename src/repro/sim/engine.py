@@ -26,7 +26,7 @@ from types import GeneratorType
 from typing import (Any, Callable, Dict, Generator, Iterable, List,
                     Optional, Tuple)
 
-from repro.analysis import hooks
+from repro.obs import hooks
 
 
 class SimulationError(RuntimeError):
@@ -358,8 +358,8 @@ class Simulator:
                         self.now = until
                         return self.now
                     pop(callbacks)
-                    if hooks.active is not None:
-                        hooks.active.on_sim_event(self, when)
+                    if hooks.on_sim_event is not None:
+                        hooks.on_sim_event(self, when)
                     fn = cb[2]
                     if fn is None:
                         continue   # cancelled: leave the clock alone
@@ -372,8 +372,8 @@ class Simulator:
                 self.now = until
                 return self.now
             when, _seq, task, value, epoch = pop(queue)
-            if hooks.active is not None:
-                hooks.active.on_sim_event(self, when)
+            if hooks.on_sim_event is not None:
+                hooks.on_sim_event(self, when)
             if task.finished or epoch != task._epoch:
                 # Stale wake-up (task interrupted since it was
                 # scheduled): drop it without advancing the clock.
@@ -400,16 +400,16 @@ class Simulator:
         if callbacks and (not queue or (callbacks[0][0], callbacks[0][1]) <
                           (queue[0][0], queue[0][1])):
             when, _seq, fn = heapq.heappop(callbacks)
-            if hooks.active is not None:
-                hooks.active.on_sim_event(self, when)
+            if hooks.on_sim_event is not None:
+                hooks.on_sim_event(self, when)
             if fn is None:
                 return   # cancelled: leave the clock alone
             self.now = when
             fn()
             return
         when, _seq, task, value, epoch = heapq.heappop(queue)
-        if hooks.active is not None:
-            hooks.active.on_sim_event(self, when)
+        if hooks.on_sim_event is not None:
+            hooks.on_sim_event(self, when)
         if task.finished or epoch != task._epoch:
             # Stale wake-up (task interrupted since it was scheduled):
             # drop it without advancing the clock.

@@ -20,10 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis import hooks
 from repro.mem.address_space import (PTE_LOCAL, PTE_NONE,
                                      PTE_REMOTE_INVALID, PTE_REMOTE_RO)
 from repro.mem.pools import MemoryPool, PoolBlock
+from repro.obs import hooks
 from repro.sim.latency import LatencyModel
 
 
@@ -70,8 +70,8 @@ class ExtendedPageTable:
         self.state[:] = PTE_REMOTE_INVALID
         self.offsets[:] = block.offsets
         self.pool = block.pool
-        if hooks.active is not None:
-            hooks.active.on_pte_bound(self)
+        if hooks.on_pte_bound is not None:
+            hooks.on_pte_bound(self)
 
     def prepopulate(self, hot_mask: np.ndarray) -> float:
         """Pre-install valid read-only GPA→HPA entries for hot pages.
@@ -92,8 +92,8 @@ class ExtendedPageTable:
         count = int(np.count_nonzero(eligible))
         self.state[eligible] = PTE_REMOTE_RO
         self.prepopulated_pages += count
-        if hooks.active is not None:
-            hooks.active.on_pte_bound(self)
+        if hooks.on_pte_bound is not None:
+            hooks.on_pte_bound(self)
         # ~80 ns per EPT entry install during preprocessing.
         return count * 80e-9
 
@@ -141,8 +141,8 @@ class ExtendedPageTable:
             self.state[ro] = PTE_LOCAL
             out.local_pages_allocated += len(ro)
             self._charge(len(ro))
-            if hooks.active is not None:
-                hooks.active.on_pte_cow(self, len(ro))
+            if hooks.on_pte_cow is not None:
+                hooks.on_pte_cow(self, len(ro))
         invalid = gpns[states == PTE_REMOTE_INVALID]
         if len(invalid):
             out.vm_exits += len(invalid)
@@ -182,8 +182,8 @@ class ExtendedPageTable:
         self.local_pages += pages
         if self.on_local_delta is not None:
             self.on_local_delta(pages)
-        if hooks.active is not None:
-            hooks.active.on_local_charge(self, pages)
+        if hooks.on_local_charge is not None:
+            hooks.on_local_charge(self, pages)
 
     def release_local(self) -> int:
         """Give back every locally-materialised page (guest teardown).

@@ -23,7 +23,7 @@ from repro.mem.accounting import MemoryAccountant
 from repro.mem.address_space import AddressSpace
 from repro.mem.layout import GB, MB
 from repro.mem.page_cache import FileIdRegistry, PageCache
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 
 #: Host-side footprint of one VMM process (device emulation, rt threads).
 VMM_OVERHEAD = 15 * MB
@@ -96,13 +96,13 @@ class MicroVM:
         self.accountant.charge("vmm-overhead", VMM_OVERHEAD)
         self.accountant.charge("vm-guest-kernel", GUEST_KERNEL_RSS)
         self.kernel_charged = True
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_vm_event("create", self.name,
+        if hooks.on_vm_event is not None:
+            hooks.on_vm_event("create", self.name,
                                          self.accountant.now())
 
     def release_all(self) -> None:
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_vm_event("destroy", self.name,
+        if hooks.on_vm_event is not None:
+            hooks.on_vm_event("destroy", self.name,
                                          self.accountant.now())
         if self.kernel_charged:
             self.accountant.charge("vmm-overhead", -VMM_OVERHEAD)
@@ -160,8 +160,8 @@ class MicroVM:
             io = fresh * 0.25e-6
         else:
             raise AssertionError(f"unhandled storage mode {mode}")
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_vm_io(f"read-{mode.value}", nbytes, io,
+        if hooks.on_vm_io is not None:
+            hooks.on_vm_io(f"read-{mode.value}", nbytes, io,
                                       ctx=ctx)
         return io
 
@@ -182,8 +182,8 @@ class MicroVM:
             self._private_host_fids.add(host_fid)
             self.host_cache.charge_file(host_fid, nbytes, offset)
             io = fresh * 4e-6
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_vm_io(f"write-{mode.value}", nbytes, io,
+        if hooks.on_vm_io is not None:
+            hooks.on_vm_io(f"write-{mode.value}", nbytes, io,
                                       ctx=ctx)
         return io
 

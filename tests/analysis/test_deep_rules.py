@@ -148,38 +148,70 @@ def test_sim008_accepts_sorted_iteration_and_int_accumulators():
 
 def test_sim009_flags_unguarded_hook_call():
     found = deep_hits("SIM009", {"src/repro/instr.py": """
-        from repro.analysis import hooks
+        from repro.obs import hooks
 
         def record(event):
-            hooks.active.on_event(event)
+            hooks.on_event(event)
     """})
     assert len(found) == 1
-    assert "hooks.active" in found[0].message
+    assert "hooks.on_event" in found[0].message
+
+
+def test_sim009_flags_unguarded_context_attribute():
+    found = deep_hits("SIM009", {"src/repro/instr.py": """
+        from repro.obs import hooks
+
+        def begin(function, t):
+            return hooks.tracer.begin(function, t)
+    """})
+    assert len(found) == 1
+    assert "hooks.tracer" in found[0].message
 
 
 def test_sim009_accepts_guarded_forms():
     found = deep_hits("SIM009", {"src/repro/instr.py": """
-        from repro.analysis import hooks
+        from repro.obs import hooks
 
         def direct(event):
-            if hooks.active is not None:
-                hooks.active.on_event(event)
+            if hooks.on_event is not None:
+                hooks.on_event(event)
 
         def aliased(event):
-            act = hooks.active
-            if act is not None:
-                act.on_event(event)
+            on_event = hooks.on_event
+            if on_event is not None:
+                on_event(event)
+
+        def context(function, t):
+            tracer = hooks.tracer
+            if tracer is not None:
+                tracer.begin(function, t)
 
         def early_return(event):
-            if hooks.active is None:
+            if hooks.on_event is None:
                 return
-            hooks.active.on_event(event)
+            hooks.on_event(event)
 
         def bool_and(fresh, event):
-            if fresh and hooks.active is not None:
-                hooks.active.on_event(event)
+            if fresh and hooks.on_event is not None:
+                hooks.on_event(event)
+
+        def subscribe(sub):
+            previous = hooks.install(sub)
+            hooks.uninstall(sub, previous)
     """})
     assert found == []
+
+
+def test_sim009_guard_covers_only_its_slot():
+    found = deep_hits("SIM009", {"src/repro/instr.py": """
+        from repro.obs import hooks
+
+        def crossed(event):
+            if hooks.on_event is not None:
+                hooks.on_other(event)
+    """})
+    assert len(found) == 1
+    assert "hooks.on_other" in found[0].message
 
 
 def test_sim009_alias_guard_does_not_leak_to_reassignment():
@@ -187,11 +219,11 @@ def test_sim009_alias_guard_does_not_leak_to_reassignment():
         from repro.obs import hooks
 
         def rebound(event):
-            act = hooks.active
-            if act is not None:
-                act.on_event(event)
-            act = hooks.active
-            act.on_event(event)
+            tracer = hooks.tracer
+            if tracer is not None:
+                tracer.instant(event)
+            tracer = hooks.tracer
+            tracer.instant(event)
     """})
     assert len(found) == 1
     assert found[0].line == max(v.line for v in found)

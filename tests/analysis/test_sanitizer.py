@@ -9,7 +9,6 @@ import heapq
 
 import pytest
 
-from repro.analysis import hooks
 from repro.analysis.sanitizer import (
     INV_CGROUP_MEMBERSHIP, INV_CHARGE_CONSERVATION, INV_EVENT_MONOTONICITY,
     INV_FRAME_REFCOUNT, INV_PAGE_CACHE_BALANCE, INV_POOL_CAPACITY,
@@ -20,6 +19,7 @@ from repro.mem.address_space import PTE_LOCAL, AddressSpace
 from repro.mem.layout import GB
 from repro.mem.page_cache import PageCache
 from repro.mem.pools import CXLPool, PoolBlock, RDMAPool, TieredPool
+from repro.obs import hooks
 from repro.sim.engine import Delay, Simulator
 
 
@@ -183,24 +183,30 @@ def test_duplicate_violations_collapse():
     assert len(sanitizer.violations) == before == 1
 
 
+def subscribed_sanitizer():
+    """The sanitizer behind the engine's slot, or None."""
+    slot = hooks.on_sim_event
+    return None if slot is None else slot.__self__
+
+
 def test_sanitized_nests_and_restores():
     with sanitized() as outer:
-        assert hooks.active is outer
+        assert subscribed_sanitizer() is outer
         with sanitized() as inner:
-            assert hooks.active is inner
-        assert hooks.active is outer
-    assert hooks.active is None or hooks.active is not outer
+            assert subscribed_sanitizer() is inner
+        assert subscribed_sanitizer() is outer
+    assert subscribed_sanitizer() is not outer
 
 
 def test_body_exception_not_masked():
     space = AddressSpace("victim")
     with pytest.raises(RuntimeError, match="original"):
-        with sanitized():
+        with sanitized() as sanitizer:
             vma = space.add_vma("heap", 2)
             space.populate_local(vma)
             space.local_pages += 1         # would violate at teardown...
             raise RuntimeError("original")  # ...but the body error wins
-    assert hooks.active is None or not isinstance(hooks.active, bool)
+    assert subscribed_sanitizer() is not sanitizer
 
 
 def test_maybe_sanitized_env_gate(monkeypatch):

@@ -1,14 +1,18 @@
 """Suite-wide fixtures.
 
-Setting ``REPRO_SANITIZE=1`` wraps every test in a runtime sanitizer
-(:mod:`repro.analysis.sanitizer`): kernel-invariant shadow ledgers are
-verified at each instrumentation hook and at a final barrier when the
-test ends.  CI runs the ``tests/mem`` and ``tests/core`` slices this
-way; locally it is off, so the hooks cost a single ``is None`` check.
+Setting ``REPRO_SANITIZE=1`` subscribes a runtime sanitizer
+(:mod:`repro.analysis.sanitizer`) to the hook bus (:mod:`repro.obs.hooks`)
+for every test: kernel-invariant shadow ledgers are verified at each
+instrumentation hook and at a final barrier when the test ends.  CI runs
+the ``tests/mem`` and ``tests/core`` slices this way; locally it is off,
+so each hook site costs a single ``is None`` check.
 
-Setting ``REPRO_OBS=1`` (or ``metrics``/``spans``) likewise wraps every
-test in a :mod:`repro.obs` observer — the golden-determinism CI slice
-runs with it on to prove observability never changes simulated results.
+Setting ``REPRO_OBS=1`` (or ``metrics``/``spans``) likewise subscribes a
+:mod:`repro.obs` observer — the golden-determinism CI slice runs with it
+on to prove observability never changes simulated results.  With both
+set, the sanitizer subscribes first, so hooks
+that both define reach the sanitizer, then the observer: the CI slice
+that sets both is the one that runs the bus's fan-out path.
 """
 
 import signal
@@ -20,15 +24,11 @@ from repro.obs.observer import maybe_observed
 
 
 @pytest.fixture(autouse=True)
-def _sanitize_if_requested():
-    with maybe_sanitized() as sanitizer:
-        yield sanitizer
-
-
-@pytest.fixture(autouse=True)
-def _observe_if_requested():
-    with maybe_observed() as observer:
-        yield observer
+def _sanitize_and_observe_if_requested():
+    # One fixture, so the sanitizer subscribes first (pytest orders
+    # separate autouse fixtures by name).
+    with maybe_sanitized(), maybe_observed():
+        yield
 
 
 @pytest.fixture

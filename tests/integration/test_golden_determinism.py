@@ -166,6 +166,41 @@ def test_sweep_worker_death_falls_back_to_serial(monkeypatch, hang_guard):
     assert fanned["shards"] == serial["shards"]
 
 
+def test_sweep_hung_worker_times_out_and_falls_back(monkeypatch, hang_guard):
+    """A sweep worker that blocks without dying cannot hang the sweep:
+    past the configs' bound the pool's processes are stopped, and the
+    sweep re-runs serially and says why under ``host.fallback``."""
+    import functools
+    import multiprocessing
+    import os
+    import threading
+
+    from repro.bench import sweep
+    from repro.bench.sweep import SweepConfig, run_sweep
+
+    grid = [SweepConfig(seed=seed, policy="round-robin", n_nodes=2,
+                        trace="scaleout", duration=10.0, rate=10.0)
+            for seed in (1, 2)]
+    assert sweep._sweep_bound(grid) >= 120.0
+    serial = run_sweep(grid, jobs=1, out_path=None)
+    original = sweep.run_config
+    parent = os.getpid()
+
+    @functools.wraps(original)
+    def blocking(config, obs_level="off"):
+        if config.seed == 2 and os.getpid() != parent:
+            threading.Event().wait()      # never set: blocks for good
+        return original(config, obs_level)
+
+    monkeypatch.setattr(sweep, "run_config", blocking)
+    monkeypatch.setattr(sweep, "_sweep_bound", lambda configs: 3.0)
+    fanned = run_sweep(grid, jobs=2, out_path=None)
+    assert fanned["host"]["fallback"] == "worker timed out"
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    assert fanned["shards"] == serial["shards"]
+
+
 @pytest.mark.parametrize("level", ["metrics", "spans"])
 def test_observability_is_bit_identical(level):
     """repro.obs never changes simulated results (the zero-cost contract).

@@ -1,10 +1,9 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import hooks
 from repro.mem.layout import PAGE_SIZE, pages_for_bytes
 from repro.mem.page_cache import FileIdRegistry, PageCache
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 
 
 def test_charge_file_counts_pages():
@@ -90,10 +89,8 @@ class SetPageCache:
 
     def _delta(self, delta):
         self.on_delta(delta)
-        if hooks.active is not None:
-            hooks.active.on_page_cache_delta(self, delta)
-        if obs_hooks.active is not None:
-            obs_hooks.active.on_page_cache_delta(self, delta)
+        if hooks.on_page_cache_delta is not None:
+            hooks.on_page_cache_delta(self, delta)
 
     def charge_file(self, file_id, nbytes, offset=0):
         first = offset // PAGE_SIZE
@@ -132,30 +129,20 @@ class SetPageCache:
 
 
 class DeltaRecorder:
-    """Records page-cache hook deltas and forwards them to whatever was
-    installed before (the sanitizer or observer of a wrapped run)."""
+    """Records page-cache hook deltas.  It subscribes next to the
+    sanitizer or observer of a wrapped run, which still get every
+    call."""
 
-    def __init__(self, previous):
-        self.previous = previous
+    def __init__(self):
         self.deltas = []
 
-    def __getattr__(self, name):
-        if not name.startswith("on_"):
-            raise AttributeError(name)
-
-        def hook(*args):
-            if name == "on_page_cache_delta":
-                self.deltas.append(args[1])
-            if self.previous is not None:
-                getattr(self.previous, name)(*args)
-        return hook
+    def on_page_cache_delta(self, cache, delta):
+        self.deltas.append(delta)
 
 
 def run_ops(cache, ops):
-    san = DeltaRecorder(hooks.active)
-    obs = DeltaRecorder(obs_hooks.active)
-    prev_san = hooks.install(san)
-    prev_obs = obs_hooks.install(obs)
+    recorder = DeltaRecorder()
+    previous = hooks.install(recorder)
     results = []
     try:
         for op in ops:
@@ -168,9 +155,8 @@ def run_ops(cache, ops):
             results.append((cache.hits, cache.misses, cache.cached_pages,
                             cache.cached_bytes))
     finally:
-        obs_hooks.uninstall(prev_obs)
-        hooks.uninstall(prev_san)
-    return results, san.deltas, obs.deltas
+        hooks.uninstall(recorder, previous)
+    return results, recorder.deltas
 
 
 def unaligned(max_pages):

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import hooks
 from repro.core.mm_template import MMTemplateError, MMTemplateRegistry
 from repro.mem.address_space import (PROT_READ, PROT_WRITE, PTE_LOCAL,
                                      PTE_REMOTE_RO, AddressSpace)
 from repro.mem.cow import CHUNK_PAGES, count_equal
 from repro.mem.layout import MB
 from repro.mem.pools import CXLPool, DedupStore, RDMAPool
+from repro.obs import hooks
 from repro.sim.engine import Simulator
 
 
@@ -35,8 +35,8 @@ def oracle_attach(source, space):
         vma.content[:] = np.asarray(src.content)
         vma.pool = src.pool
         space._charge(count_equal(vma.state, PTE_LOCAL))
-        if hooks.active is not None:
-            hooks.active.on_pte_bound(vma)
+        if hooks.on_pte_bound is not None:
+            hooks.on_pte_bound(vma)
 
 
 #: VMA kinds: unbound demand-zero, CXL, RDMA, valid/invalid mixes on
@@ -117,12 +117,12 @@ def attach_recorded(source, attach_fn, with_hooks):
     deltas = []
     space = AddressSpace("space", on_local_delta=deltas.append)
     recorder = Recorder(space)
-    previous = hooks.install(recorder) if with_hooks else hooks.active
+    previous = hooks.install(recorder) if with_hooks else None
     try:
         attach_fn(source, space)
     finally:
         if with_hooks:
-            hooks.uninstall(previous)
+            hooks.uninstall(recorder, previous)
     return space, deltas, recorder.calls
 
 

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import hooks
 from repro.mem.accounting import MemoryAccountant
 from repro.mem.address_space import (PROT_READ, PROT_WRITE, PTE_LOCAL,
                                      PTE_NONE, PTE_REMOTE_INVALID,
@@ -26,7 +25,7 @@ from repro.mem.cow import CHUNK_PAGES, count_equal
 from repro.mem.layout import MB
 from repro.mem.pools import CXLPool, DedupStore, RDMAPool
 from repro.mem.trace import AccessTrace
-from repro.obs import hooks as obs_hooks
+from repro.obs import hooks
 from repro.sim.rng import SeededRNG
 
 # -- oracles: the implementations the fast paths replaced ------------------------
@@ -111,8 +110,8 @@ def _oracle_writes(space, vma, idx, out):
         vma.state[idx[states != PTE_LOCAL]] = PTE_LOCAL
         out.local_pages_allocated += n_alloc
         space._charge(n_alloc)
-    if n_cow and hooks.active is not None:
-        hooks.active.on_pte_cow(vma, n_cow)
+    if n_cow and hooks.on_pte_cow is not None:
+        hooks.on_pte_cow(vma, n_cow)
 
 
 def oracle_access(space, read_pages, write_pages, read_loads=0):
@@ -245,13 +244,13 @@ def build_space(specs, clone, cap_pages):
 
 
 class HookRecorder:
-    """Records every sanitizer and obs hook call with a snapshot of the
-    owner, then forwards it to whatever was installed before."""
+    """Records every hook call with a snapshot of the owner.  It
+    subscribes next to the sanitizer or observer of a wrapped run,
+    which still get every call."""
 
-    def __init__(self, space, acc, previous):
+    def __init__(self, space, acc):
         self.space = space
         self.acc = acc
-        self.previous = previous
         self.calls = []
 
     def _label(self, owner):
@@ -273,22 +272,17 @@ class HookRecorder:
             self.calls.append((name,) + tuple(
                 self._label(a) if not isinstance(a, (int, str)) else a
                 for a in args))
-            if self.previous is not None:
-                getattr(self.previous, name)(*args)
         return hook
 
 
 def recorded(space, acc, fn):
-    san = HookRecorder(space, acc, hooks.active)
-    obs = HookRecorder(space, acc, obs_hooks.active)
-    prev_san = hooks.install(san)
-    prev_obs = obs_hooks.install(obs)
+    recorder = HookRecorder(space, acc)
+    previous = hooks.install(recorder)
     try:
         result = fn()
     finally:
-        obs_hooks.uninstall(prev_obs)
-        hooks.uninstall(prev_san)
-    return result, san.calls + [("obs",)] + obs.calls
+        hooks.uninstall(recorder, previous)
+    return result, recorder.calls
 
 
 def states_of(space):

@@ -3,8 +3,7 @@ import pytest
 
 from repro.mem.layout import GB, MB
 from repro.mem.pools import CXLPool, DedupStore, RDMAPool, TieredPool
-from repro.mem.tiering import AccessFrequencyTracker, working_set_hot_mask
-from repro.mem.trace import AccessTrace
+from repro.mem.tiering import working_set_hot_mask
 from repro.sim.rng import SeededRNG
 from repro.workloads.functions import function_by_name
 
@@ -28,50 +27,6 @@ class TestWorkingSetMask:
         with pytest.raises(ValueError):
             working_set_hot_mask(function_by_name("JS"), SeededRNG(1),
                                  budget_fraction=1.5)
-
-
-class TestFrequencyTracker:
-    def make_trace(self, pages):
-        arr = np.array(pages, dtype=np.int64)
-        return AccessTrace(read_pages=arr, write_pages=arr[:0], read_loads=0)
-
-    def test_hot_mask_ranks_by_count(self):
-        tracker = AccessFrequencyTracker(10)
-        tracker.observe(self.make_trace([1, 2, 3]))
-        tracker.observe(self.make_trace([2, 3]))
-        tracker.observe(self.make_trace([3]))
-        mask = tracker.hot_mask(0.2)   # budget: 2 pages
-        assert mask[3]
-        assert mask[2]
-        assert mask.sum() == 2
-
-    def test_untouched_pages_never_hot(self):
-        tracker = AccessFrequencyTracker(10)
-        tracker.observe(self.make_trace([0]))
-        mask = tracker.hot_mask(1.0)
-        assert mask.sum() == 1
-
-    def test_empty_tracker_returns_empty_mask(self):
-        tracker = AccessFrequencyTracker(10)
-        assert tracker.hot_mask(0.5).sum() == 0
-
-    def test_touch_rate(self):
-        tracker = AccessFrequencyTracker(4)
-        tracker.observe(self.make_trace([0, 1]))
-        tracker.observe(self.make_trace([0]))
-        rate = tracker.touch_rate()
-        assert rate[0] == 1.0
-        assert rate[1] == 0.5
-        assert rate[2] == 0.0
-
-    def test_out_of_range_trace_rejected(self):
-        tracker = AccessFrequencyTracker(4)
-        with pytest.raises(IndexError):
-            tracker.observe(self.make_trace([7]))
-
-    def test_fraction_validated(self):
-        with pytest.raises(ValueError):
-            AccessFrequencyTracker(4).hot_mask(2.0)
 
 
 class TestMaskedPlacement:

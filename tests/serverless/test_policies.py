@@ -6,8 +6,7 @@ from repro.mem.pools import CXLPool
 from repro.node import Node
 from repro.serverless.baselines import FaasdPlatform
 from repro.serverless.policies import (FixedKeepAlive, HistogramKeepAlive,
-                                       NoKeepAlive,
-                                       PressureAwareKeepAlive)
+                                       NoKeepAlive)
 from repro.sim.engine import Delay
 from repro.workloads.functions import function_by_name
 
@@ -106,54 +105,3 @@ class TestHistogram:
         adaptive = run(HistogramKeepAlive(min_samples=2, min_window=60.0))
         fixed_short = run(FixedKeepAlive(30.0))
         assert adaptive.count("warm") > fixed_short.count("warm")
-
-
-class TestPressureAware:
-    def test_passthrough_when_calm(self):
-        policy = PressureAwareKeepAlive(FixedKeepAlive(600.0),
-                                       under_pressure=lambda: False)
-        assert policy.window("f") == 600.0
-
-    def test_shrinks_under_pressure(self):
-        pressured = [False]
-        policy = PressureAwareKeepAlive(FixedKeepAlive(600.0),
-                                       under_pressure=lambda: pressured[0],
-                                       shrink=0.25)
-        assert policy.window("f") == 600.0
-        pressured[0] = True
-        assert policy.window("f") == 150.0
-        pressured[0] = False                  # recovery restores windows
-        assert policy.window("f") == 600.0
-
-    def test_arrivals_feed_the_inner_policy(self):
-        inner = HistogramKeepAlive(min_samples=2)
-        policy = PressureAwareKeepAlive(inner,
-                                       under_pressure=lambda: False)
-        for i in range(4):
-            policy.observe_arrival("f", 50.0 * i)
-        assert inner.samples("f") == 3
-
-    def test_shrink_validated(self):
-        with pytest.raises(ValueError):
-            PressureAwareKeepAlive(FixedKeepAlive(600.0),
-                                   under_pressure=lambda: False,
-                                   shrink=1.5)
-
-    def test_burn_driven_shrink_via_control_plane(self):
-        # Wired the way a cluster would: the control plane's degrade
-        # signal drives the shrink.
-        from repro.control.config import ControlConfig, SLOTarget
-        from repro.control.slo import SLOTracker
-        cfg = ControlConfig(slos={"f": SLOTarget(threshold=0.5,
-                                                 objective=0.9)},
-                            degrade_burn=3.0)
-        slo = SLOTracker(cfg)
-        now = [0.0]
-        policy = PressureAwareKeepAlive(
-            FixedKeepAlive(600.0),
-            under_pressure=lambda: slo.degrade_active(now[0]))
-        assert policy.window("f") == 600.0
-        for i in range(5):
-            slo.observe("f", float(i), e2e=10.0)   # hard SLO misses
-        now[0] = 5.0
-        assert policy.window("f") == 150.0
