@@ -93,8 +93,10 @@ class TrEnvPlatform(ServerlessPlatform):
         if self.config.reconfig:
             sandbox = self.sandbox_pool.take()
             if sandbox is not None:
-                proc, degraded = yield from self._do_repurpose(
-                    sandbox, profile, ctx)
+                template, degraded = self._usable_template(profile)
+                proc = yield from self.repurposer.repurpose(
+                    sandbox, profile, self.images[profile.name], template,
+                    ctx=ctx)
                 inst = Instance(profile, proc.address_space, payload=sandbox)
                 inst.degraded_start = degraded
                 return inst, "repurposed"
@@ -104,20 +106,15 @@ class TrEnvPlatform(ServerlessPlatform):
                 sandbox = victim.payload
                 victim.retired = True
                 yield from self.repurposer.cleanse(sandbox)
-                proc, degraded = yield from self._do_repurpose(
-                    sandbox, profile, ctx)
+                template, degraded = self._usable_template(profile)
+                proc = yield from self.repurposer.repurpose(
+                    sandbox, profile, self.images[profile.name], template,
+                    ctx=ctx)
                 inst = Instance(profile, proc.address_space, payload=sandbox)
                 inst.degraded_start = degraded
                 return inst, "repurposed"
         inst = yield from self._cold_start(profile, ctx)
         return inst, "cold"
-
-    def _do_repurpose(self, sandbox: ContainerSandbox,
-                      profile: FunctionProfile, ctx=None) -> Generator:
-        template, degraded = self._usable_template(profile)
-        proc = yield from self.repurposer.repurpose(
-            sandbox, profile, self.images[profile.name], template, ctx=ctx)
-        return proc, degraded
 
     def _usable_template(self, profile: FunctionProfile
                          ) -> Tuple[Optional[MemoryTemplate], bool]:

@@ -16,12 +16,29 @@ for the three commands above.
 The engine is deterministic: ties in the event queue are broken by a
 monotonically increasing sequence number, so two runs with the same seeds
 produce identical traces.
+
+Two shortcuts keep that order while making each event cheaper:
+
+* **Run-ahead.**  While :meth:`Simulator.run` is active it sets a
+  horizon (its ``until``, or infinity).  A ``Delay`` whose wake-up
+  ``now + dt`` is within the horizon, with no task wake-up and no
+  callback at or before it, would take the largest sequence number and
+  be the very next pop; the task fires ``on_sim_event``, sets the clock
+  and resumes in place instead of going through the heap.  Outside
+  ``run`` the horizon is ``-inf``, so :meth:`Simulator.run_process` and
+  :meth:`Simulator._step` never run ahead.  Skipping the sequence
+  number shifts later values but not their order.
+* **Batch feed.**  A sorted :meth:`Simulator.spawn_at_many` batch keeps
+  its queue entries aside and queues only its head; popping an arrival
+  queues its successor before the arrival's first step.  The task heap
+  holds the tasks in flight plus one pending arrival per batch.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
+from heapq import heappop, heappush
 from types import GeneratorType
 from typing import (Any, Callable, Dict, Generator, Iterable, List,
                     Optional, Tuple)
@@ -187,7 +204,23 @@ class _Task:
                 return
 
             if isinstance(cmd, Delay):
-                self.sim._schedule(cmd.dt, self, None)
+                sim = self.sim
+                when = sim.now + cmd.dt
+                queue = sim._queue
+                if when <= sim._horizon:
+                    callbacks = sim._callbacks
+                    if ((not queue or queue[0][0] > when)
+                            and (not callbacks or callbacks[0][0] > when)):
+                        # Run-ahead: nothing is due at or before `when`,
+                        # so this wake-up (the largest seq) would be the
+                        # next pop.
+                        if hooks.on_sim_event is not None:
+                            hooks.on_sim_event(sim, when)
+                        sim.now = when
+                        send_value = None
+                        continue
+                heappush(queue, (when, next(sim._seq), self, None,
+                                 self._epoch))
                 return
             if isinstance(cmd, Event):
                 self._waiting_on = cmd
@@ -245,6 +278,14 @@ def _result_or_raise(waiter: Waiter) -> Any:
     return waiter.task.result
 
 
+class _Arrivals(list):
+    """The unqueued entries of a sorted :meth:`Simulator.spawn_at_many`
+    batch, last first.  Each entry carries the list as its value, so
+    popping an arrival finds the successor to queue."""
+
+    __slots__ = ()
+
+
 class Simulator:
     """Deterministic event loop with a virtual clock in seconds.
 
@@ -254,6 +295,11 @@ class Simulator:
     order is exactly ``(time, seq)`` across the two.  A cancelled
     callback keeps its slot with ``fn`` cleared and is dropped when it
     reaches the front.
+
+    ``_horizon`` is the latest time a task may run ahead to without the
+    heap: ``until`` (or infinity) while :meth:`run` is active, ``-inf``
+    otherwise.  A sorted arrival batch sits in the task heap as one
+    entry at a time (see the module docstring).
     """
 
     def __init__(self):
@@ -261,6 +307,7 @@ class Simulator:
         self._queue: List[Tuple[float, int, _Task, Any, int]] = []
         self._seq = itertools.count()
         self._callbacks: List[list] = []
+        self._horizon: float = -math.inf
 
     # -- process management -------------------------------------------------
 
@@ -295,20 +342,36 @@ class Simulator:
         exactly; :meth:`spawn_at` round-trips through ``now + (when -
         now)``, which is bit-identical whenever ``now == 0.0`` (how
         workload runners use both).
+
+        A schedule sorted by time enters the task heap one entry at a
+        time: popping an arrival queues the next, and the consumed
+        entry is released.  An unsorted one is pushed whole.
         """
         now = self.now
         nxt = self._seq.__next__
-        queue = self._queue
-        push = heapq.heappush
+        batch = _Arrivals()
+        add = batch.append
         waiters: List[Waiter] = []
         out = waiters.append
+        last = now
+        in_order = True
         for when, gen in schedule:
             if when < now:
                 raise SimulationError(
                     f"spawn_at into the past: {when} < {now}")
+            if when < last:
+                in_order = False
+            last = when
             task = _Task(self, gen)
-            push(queue, (when, nxt(), task, None, 0))
+            add((when, nxt(), task, batch, 0))
             out(Waiter(task))
+        queue = self._queue
+        if not in_order:
+            for when, seq, task, _batch, epoch in batch:
+                heappush(queue, (when, seq, task, None, epoch))
+        elif batch:
+            batch.reverse()
+            heappush(queue, batch.pop())
         return waiters
 
     def event(self) -> Event:
@@ -322,7 +385,7 @@ class Simulator:
         if when < self.now:
             raise SimulationError(f"call_at into the past: {when} < {self.now}")
         entry = [when, next(self._seq), fn]
-        heapq.heappush(self._callbacks, entry)
+        heappush(self._callbacks, entry)
         return entry
 
     @staticmethod
@@ -332,9 +395,8 @@ class Simulator:
         entry[2] = None
 
     def _schedule(self, dt: float, task: _Task, value: Any) -> None:
-        heapq.heappush(self._queue,
-                       (self.now + dt, next(self._seq), task, value,
-                        task._epoch))
+        heappush(self._queue,
+                 (self.now + dt, next(self._seq), task, value, task._epoch))
 
     # -- running -------------------------------------------------------------
 
@@ -342,44 +404,71 @@ class Simulator:
         """Drain events; stop at ``until`` (simulated seconds) if given.
 
         When ``until`` is given the clock ends at ``until`` even if the
-        last event lands earlier.  The loop body is :meth:`_step` with
-        the ``until`` check fused in: at trace scale the call chain
-        itself is measurable.
+        last event lands earlier; an ``until`` before ``now`` is an
+        error.  The loop body is :meth:`_step` with the ``until`` check
+        fused in: at trace scale the call chain itself is measurable.
+        While it runs, ``until`` (or infinity) is the run-ahead horizon.
         """
+        if until is None:
+            horizon = math.inf
+        elif until < self.now:
+            raise SimulationError(f"run until the past: {until} < {self.now}")
+        else:
+            horizon = until
+        outer = self._horizon
+        self._horizon = horizon
         queue = self._queue
         callbacks = self._callbacks
-        pop = heapq.heappop
-        while True:
-            if callbacks:
-                cb = callbacks[0]
-                if not queue or (cb[0], cb[1]) < (queue[0][0], queue[0][1]):
-                    when = cb[0]
-                    if until is not None and when > until:
-                        self.now = until
-                        return self.now
-                    pop(callbacks)
+        pop = heappop
+        try:
+            while True:
+                # Which head runs next, compared field by field on
+                # (time, seq).
+                if queue:
+                    head = queue[0]
+                    when = head[0]
+                    if callbacks:
+                        cb = callbacks[0]
+                        cb_when = cb[0]
+                        task_next = (when < cb_when or
+                                     (when == cb_when and head[1] < cb[1]))
+                    else:
+                        task_next = True
+                elif callbacks:
+                    cb = callbacks[0]
+                    cb_when = cb[0]
+                    task_next = False
+                else:
+                    break
+                if task_next:
+                    if when > horizon:
+                        break
+                    when, _seq, task, value, epoch = pop(queue)
+                    if value is not None and value.__class__ is _Arrivals:
+                        if value:
+                            heappush(queue, value.pop())
+                        value = None
                     if hooks.on_sim_event is not None:
                         hooks.on_sim_event(self, when)
-                    fn = cb[2]
-                    if fn is None:
-                        continue   # cancelled: leave the clock alone
+                    if task.finished or epoch != task._epoch:
+                        # Stale wake-up (task interrupted since it was
+                        # scheduled): drop it without advancing the clock.
+                        continue
                     self.now = when
-                    fn()
+                    task.step(value)
                     continue
-            if not queue:
-                break
-            if until is not None and queue[0][0] > until:
-                self.now = until
-                return self.now
-            when, _seq, task, value, epoch = pop(queue)
-            if hooks.on_sim_event is not None:
-                hooks.on_sim_event(self, when)
-            if task.finished or epoch != task._epoch:
-                # Stale wake-up (task interrupted since it was
-                # scheduled): drop it without advancing the clock.
-                continue
-            self.now = when
-            task.step(value)
+                if cb_when > horizon:
+                    break
+                pop(callbacks)
+                if hooks.on_sim_event is not None:
+                    hooks.on_sim_event(self, cb_when)
+                fn = cb[2]
+                if fn is None:
+                    continue   # cancelled: leave the clock alone
+                self.now = cb_when
+                fn()
+        finally:
+            self._horizon = outer
         if until is not None:
             self.now = max(self.now, until)
         return self.now
@@ -399,7 +488,7 @@ class Simulator:
         callbacks = self._callbacks
         if callbacks and (not queue or (callbacks[0][0], callbacks[0][1]) <
                           (queue[0][0], queue[0][1])):
-            when, _seq, fn = heapq.heappop(callbacks)
+            when, _seq, fn = heappop(callbacks)
             if hooks.on_sim_event is not None:
                 hooks.on_sim_event(self, when)
             if fn is None:
@@ -407,7 +496,11 @@ class Simulator:
             self.now = when
             fn()
             return
-        when, _seq, task, value, epoch = heapq.heappop(queue)
+        when, _seq, task, value, epoch = heappop(queue)
+        if value is not None and value.__class__ is _Arrivals:
+            if value:
+                heappush(queue, value.pop())
+            value = None
         if hooks.on_sim_event is not None:
             hooks.on_sim_event(self, when)
         if task.finished or epoch != task._epoch:

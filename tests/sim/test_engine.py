@@ -1,5 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import cProfile
+import gc
+import math
+import weakref
+
 import pytest
 
 from repro.sim.cpu import FairShareCPU
@@ -567,3 +572,210 @@ def test_spawn_at_many_rejects_past_times():
     sim.run_process(nap())              # advances now to 1.0
     with pytest.raises(SimulationError):
         sim.spawn_at_many([(0.5, noop())])
+
+
+# -- run(until), run-ahead and the arrival batch feed --------------------------
+
+
+def test_run_until_the_past_raises_and_keeps_the_clock():
+    sim = Simulator()
+
+    def proc():
+        yield Delay(20.0)
+
+    sim.spawn(proc())
+    assert sim.run(until=12.0) == 12.0
+    with pytest.raises(SimulationError, match="past"):
+        sim.run(until=5.0)
+    assert sim.now == 12.0
+    assert sim.run(until=12.0) == 12.0   # until == now is no move
+    assert sim.run() == 20.0
+
+
+def test_run_restores_the_horizon_when_an_exception_escapes():
+    sim = Simulator()
+
+    def bad():
+        yield Delay(1.0)
+        raise RuntimeError("escapes run")
+
+    sim.spawn(bad())
+    assert sim._horizon == -math.inf
+    with pytest.raises(RuntimeError, match="escapes run"):
+        sim.run(until=5.0)
+    assert sim._horizon == -math.inf
+
+
+def test_uncontended_delays_resume_in_place():
+    """A lone sleeper never goes through the heap under run(); under
+    run_process it does, one push per Delay."""
+    def sleeper(sim, stamps):
+        for dt in (0.0, 1.0, 2.5):
+            yield Delay(dt)
+            stamps.append(sim.now)
+
+    seqs = {}
+    for mode in ("run", "run_process"):
+        sim = Simulator()
+        stamps = []
+        if mode == "run":
+            sim.spawn(sleeper(sim, stamps))
+            sim.run()
+        else:
+            sim.run_process(sleeper(sim, stamps))
+        assert stamps == [0.0, 1.0, 3.5]
+        seqs[mode] = next(sim._seq)
+    # Sequence numbers drawn: the spawn only, against spawn + 3 wake-ups.
+    assert seqs == {"run": 1, "run_process": 4}
+
+
+def test_run_ahead_stops_at_the_until_cut():
+    sim = Simulator()
+    stamps = []
+
+    def sleeper():
+        for _ in range(4):
+            yield Delay(1.0)
+            stamps.append(sim.now)
+
+    sim.spawn(sleeper())
+    assert sim.run(until=2.0) == 2.0
+    assert stamps == [1.0, 2.0]
+    assert sim._queue[0][0] == 3.0
+    sim.run()
+    assert stamps == [1.0, 2.0, 3.0, 4.0]
+
+
+def _instant(log, i, sim):
+    log.append((sim.now, i, len(sim._queue)))
+    return
+    yield  # pragma: no cover - makes this a generator
+
+
+def test_arrival_batch_has_one_entry_queued_at_a_time():
+    sim = Simulator()
+    log = []
+    n = 200
+    rng = SeededRNG(4, "feed")
+    times = sorted(round(rng.uniform(0.0, 5.0), 1) for _ in range(n))
+    sim.spawn_at_many((t, _instant(log, i, sim)) for i, t in enumerate(times))
+    assert len(sim._queue) == 1
+    sim.run()
+    # Each arrival runs with its successor (and nothing else) queued.
+    assert [(t, i) for t, i, _ in log] == list(zip(times, range(n)))
+    assert [queued for _, _, queued in log] == [1] * (n - 1) + [0]
+
+    # Two batches: one pending entry each.
+    sim = Simulator()
+    log.clear()
+    for base in (0, n):
+        sim.spawn_at_many((t, _instant(log, base + i, sim))
+                          for i, t in enumerate(times))
+    assert len(sim._queue) == 2
+    sim.run()
+    assert max(queued for _, _, queued in log) <= 2
+    assert [i for _, i, _ in log] == [
+        i for _, i in sorted((t, i) for i, t in enumerate(times + times))]
+
+
+def test_unsorted_batch_is_pushed_whole_in_spawn_at_order():
+    times = [3.0, 1.0, 1.0, 0.5, 2.0]
+    orders = []
+    for batch in (True, False):
+        sim = Simulator()
+        log = []
+        schedule = [(t, _instant(log, i, sim)) for i, t in enumerate(times)]
+        if batch:
+            sim.spawn_at_many(schedule)
+            assert len(sim._queue) == len(times)
+        else:
+            for t, gen in schedule:
+                sim.spawn_at(t, gen)
+        sim.run()
+        orders.append([(t, i) for t, i, _ in log])
+    assert orders[0] == orders[1] == [(0.5, 3), (1.0, 1), (1.0, 2),
+                                      (2.0, 4), (3.0, 0)]
+
+
+def test_interrupted_arrival_still_feeds_its_successor():
+    sim = Simulator()
+    log = []
+    gens = [_instant(log, i, sim) for i in range(3)]
+    waiters = sim.spawn_at_many([(1.0, gens[0]), (2.0, gens[1]),
+                                 (3.0, gens[2])])
+
+    def joiner():
+        try:
+            yield waiters[1]
+        except Interrupt as intr:
+            log.append((sim.now, "joiner", intr.cause))
+
+    sim.spawn(joiner())
+    sim.call_at(0.5, lambda: waiters[1].interrupt("early"))
+    assert sim.run() == 3.0
+    # Arrival 1 died of the interrupt at 0.5; its stale entry at 2.0 is
+    # dropped without moving the clock and arrival 2 still starts.
+    assert log == [(0.5, "joiner", "early"), (1.0, 0, 1), (3.0, 2, 0)]
+
+
+def test_finished_arrival_entry_is_released():
+    sim = Simulator()
+    log = []
+    gens = [_instant(log, i, sim) for i in range(3)]
+    refs = [weakref.ref(gen) for gen in gens]
+    sim.spawn_at_many(zip((1.0, 5.0, 9.0), gens))   # waiters dropped
+    del gens
+    sim.run(until=6.0)
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, False]
+    sim.run()
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def _stepwise_run(sim, until=None):
+    """Reference driver: one _step() per event, no run-ahead."""
+    assert until is None
+    while sim._queue or sim._callbacks:
+        sim._step()
+    return sim.now
+
+
+def test_run_ahead_cuts_heap_pushes_on_a_micro_rack(monkeypatch):
+    """¼-scale round-robin micro rack: same records as a _step()-driven
+    run, with fewer heap pushes."""
+    from repro.serverless.partition import ClusterSpec
+    from repro.workloads.functions import FunctionProfile
+    from repro.workloads.synthetic import make_scaleout_uniform
+
+    suite = tuple(FunctionProfile(
+        name=f"micro{i}", lang="python", description="micro function",
+        mem_bytes=1 << 20, n_threads=1, exec_cpu=0.0, io_time=0.0,
+        touched_pages=0, write_fraction=0.0, loads_per_read_page=0.0,
+        n_vmas=4, n_fds=1, runtime_shared_bytes=1 << 18,
+        bootstrap_time=0.01, file_io_bytes=0, trace_jitter=0.0)
+        for i in range(16))
+
+    def run_rack():
+        workload = make_scaleout_uniform(seed=3, functions=suite,
+                                         duration=600.0, rate=2000 / 600.0,
+                                         quantum=0.05)
+        cluster = ClusterSpec(n_nodes=10, seed=3, policy="round-robin",
+                              functions=suite).build()
+        cluster.prepare_workload(workload)
+        profile = cProfile.Profile()
+        result = profile.runcall(cluster.run_workload, workload)
+        # Built-ins report their code as "<built-in method _heapq.heappush>".
+        pushes = sum(stat.callcount for stat in profile.getstats()
+                     if str(stat.code).endswith(".heappush>"))
+        assert len(result.recorder.results) == len(workload.events)
+        return result, pushes
+
+    result, pushes = run_rack()
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "run", _stepwise_run)
+        reference, reference_pushes = run_rack()
+    print(f"\nheap pushes: {pushes} run-ahead, {reference_pushes} stepwise")
+    assert result.recorder.results == reference.recorder.results
+    assert result.duration == reference.duration
+    assert 0 < pushes < reference_pushes
