@@ -92,20 +92,14 @@ class TrEnvPlatform(ServerlessPlatform):
     def _acquire(self, profile: FunctionProfile, ctx=None) -> Generator:
         if self.config.reconfig:
             sandbox = self.sandbox_pool.take()
+            if sandbox is None:
+                victim = self.warm.lru_victim()
+                if victim is not None:
+                    self.warm.remove(victim)
+                    sandbox = victim.payload
+                    victim.retired = True
+                    yield from self.repurposer.cleanse(sandbox)
             if sandbox is not None:
-                template, degraded = self._usable_template(profile)
-                proc = yield from self.repurposer.repurpose(
-                    sandbox, profile, self.images[profile.name], template,
-                    ctx=ctx)
-                inst = Instance(profile, proc.address_space, payload=sandbox)
-                inst.degraded_start = degraded
-                return inst, "repurposed"
-            victim = self.warm.lru_victim()
-            if victim is not None:
-                self.warm.remove(victim)
-                sandbox = victim.payload
-                victim.retired = True
-                yield from self.repurposer.cleanse(sandbox)
                 template, degraded = self._usable_template(profile)
                 proc = yield from self.repurposer.repurpose(
                     sandbox, profile, self.images[profile.name], template,

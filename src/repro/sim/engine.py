@@ -28,8 +28,9 @@ Two shortcuts keep that order while making each event cheaper:
   ``run`` the horizon is ``-inf``, so :meth:`Simulator.run_process` and
   :meth:`Simulator._step` never run ahead.  Skipping the sequence
   number shifts later values but not their order.
-* **Batch feed.**  A sorted :meth:`Simulator.spawn_at_many` batch keeps
-  its queue entries aside and queues only its head; popping an arrival
+* **Batch feed.**  A :meth:`Simulator.spawn_at_many` batch keeps its
+  queue entries aside in ``(time, seq)`` order and queues only its
+  head; popping an arrival
   queues its successor before the arrival's first step.  The task heap
   holds the tasks in flight plus one pending arrival per batch.
 """
@@ -279,8 +280,8 @@ def _result_or_raise(waiter: Waiter) -> Any:
 
 
 class _Arrivals(list):
-    """The unqueued entries of a sorted :meth:`Simulator.spawn_at_many`
-    batch, last first.  Each entry carries the list as its value, so
+    """The unqueued entries of a :meth:`Simulator.spawn_at_many` batch,
+    last first.  Each entry carries the list as its value, so
     popping an arrival finds the successor to queue."""
 
     __slots__ = ()
@@ -298,7 +299,7 @@ class Simulator:
 
     ``_horizon`` is the latest time a task may run ahead to without the
     heap: ``until`` (or infinity) while :meth:`run` is active, ``-inf``
-    otherwise.  A sorted arrival batch sits in the task heap as one
+    otherwise.  An arrival batch sits in the task heap as one
     entry at a time (see the module docstring).
     """
 
@@ -343,9 +344,10 @@ class Simulator:
         now)``, which is bit-identical whenever ``now == 0.0`` (how
         workload runners use both).
 
-        A schedule sorted by time enters the task heap one entry at a
-        time: popping an arrival queues the next, and the consumed
-        entry is released.  An unsorted one is pushed whole.
+        The batch enters the task heap one entry at a time, in ``(when,
+        seq)`` order: popping an arrival queues the next, and the
+        consumed entry is released.  Entries still aside all come after
+        the queued one, so the pop order is that of ``spawn_at``.
         """
         now = self.now
         nxt = self._seq.__next__
@@ -353,25 +355,18 @@ class Simulator:
         add = batch.append
         waiters: List[Waiter] = []
         out = waiters.append
-        last = now
-        in_order = True
         for when, gen in schedule:
             if when < now:
                 raise SimulationError(
                     f"spawn_at into the past: {when} < {now}")
-            if when < last:
-                in_order = False
-            last = when
             task = _Task(self, gen)
             add((when, nxt(), task, batch, 0))
             out(Waiter(task))
-        queue = self._queue
-        if not in_order:
-            for when, seq, task, _batch, epoch in batch:
-                heappush(queue, (when, seq, task, None, epoch))
-        elif batch:
-            batch.reverse()
-            heappush(queue, batch.pop())
+        if batch:
+            # Last first.  Seqs are unique, so tasks are never compared;
+            # a time-sorted schedule is one run, sorted in O(n).
+            batch.sort(reverse=True)
+            heappush(self._queue, batch.pop())
         return waiters
 
     def event(self) -> Event:

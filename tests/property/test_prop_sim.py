@@ -168,7 +168,7 @@ class _SimEventLedger:
         self.ledger.append(when)
 
 
-def _run_stepwise(sim, until):
+def _run_stepwise(sim, until=None):
     """The reference engine: one _step() per event, which never runs
     ahead, with run()'s until cut."""
     queue, callbacks = sim._queue, sim._callbacks

@@ -10,6 +10,7 @@ import pytest
 from repro.sim.cpu import FairShareCPU
 from repro.sim.engine import Delay, Interrupt, SimulationError, Simulator
 from repro.sim.rng import SeededRNG
+from tests.property.test_prop_sim import _run_stepwise
 
 
 def test_delay_advances_clock():
@@ -678,7 +679,7 @@ def test_arrival_batch_has_one_entry_queued_at_a_time():
         i for _, i in sorted((t, i) for i, t in enumerate(times + times))]
 
 
-def test_unsorted_batch_is_pushed_whole_in_spawn_at_order():
+def test_unsorted_batch_is_fed_one_at_a_time_in_spawn_at_order():
     times = [3.0, 1.0, 1.0, 0.5, 2.0]
     orders = []
     for batch in (True, False):
@@ -687,7 +688,7 @@ def test_unsorted_batch_is_pushed_whole_in_spawn_at_order():
         schedule = [(t, _instant(log, i, sim)) for i, t in enumerate(times)]
         if batch:
             sim.spawn_at_many(schedule)
-            assert len(sim._queue) == len(times)
+            assert len(sim._queue) == 1
         else:
             for t, gen in schedule:
                 sim.spawn_at(t, gen)
@@ -733,14 +734,6 @@ def test_finished_arrival_entry_is_released():
     assert all(ref() is None for ref in refs)
 
 
-def _stepwise_run(sim, until=None):
-    """Reference driver: one _step() per event, no run-ahead."""
-    assert until is None
-    while sim._queue or sim._callbacks:
-        sim._step()
-    return sim.now
-
-
 def test_run_ahead_cuts_heap_pushes_on_a_micro_rack(monkeypatch):
     """¼-scale round-robin micro rack: same records as a _step()-driven
     run, with fewer heap pushes."""
@@ -773,7 +766,7 @@ def test_run_ahead_cuts_heap_pushes_on_a_micro_rack(monkeypatch):
 
     result, pushes = run_rack()
     with monkeypatch.context() as patch:
-        patch.setattr(Simulator, "run", _stepwise_run)
+        patch.setattr(Simulator, "run", _run_stepwise)
         reference, reference_pushes = run_rack()
     print(f"\nheap pushes: {pushes} run-ahead, {reference_pushes} stepwise")
     assert result.recorder.results == reference.recorder.results
