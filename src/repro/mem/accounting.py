@@ -15,7 +15,14 @@ from repro.obs import hooks
 
 
 class MemoryAccountant:
-    """Aggregates memory usage with per-category breakdown and a timeline."""
+    """Aggregates memory usage with per-category breakdown and a timeline.
+
+    ``cap_violations`` counts the allocating charges (positive deltas)
+    that leave usage over ``soft_cap_bytes``.  Address spaces and EPTs
+    charge once per operation (an access, attach or populate, whatever
+    number of VMAs it faults), so it counts over-cap operations, not
+    pages or VMAs.
+    """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
                  soft_cap_bytes: Optional[int] = None):

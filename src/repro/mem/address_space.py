@@ -325,7 +325,7 @@ class PageTable:
     # -- sharing -------------------------------------------------------------------
 
     def _share(self) -> tuple:
-        """``(layout, (state, offsets, content), local_runs)`` for a
+        """``(layout, (state, offsets, content), n_local)`` for a
         copy-on-write attach of this table.
 
         Plain arrays are frozen into :class:`TemplateBase` s (writes to
@@ -333,28 +333,18 @@ class PageTable:
         result, so every later attach reuses the same bases.  CoW arrays
         (an attached table) are handed out for the attacher to copy: it
         shares their bases and copies only their private chunks.
-        ``local_runs`` lists ``(vma index, local pages)`` for each VMA
-        holding locally-resident pages — normally none: templates hold
-        only remote-backed or empty PTEs.
+        ``n_local`` counts the table's locally-resident pages — normally
+        none: templates hold only remote-backed or empty PTEs.
         """
         if self._shared is not None:
             return self._shared
         arrays = tuple(arr if isinstance(arr, CowPageArray)
                        else TemplateBase(arr)
                        for arr in (self.state, self.offsets, self.content))
-        shared = (self.layout, arrays, _local_runs(self.state, self.layout))
+        shared = (self.layout, arrays, count_equal(self.state, PTE_LOCAL))
         if not any(isinstance(arr, CowPageArray) for arr in arrays):
             self._shared = shared
         return shared
-
-
-def _local_runs(state, layout: Layout) -> List[Tuple[int, int]]:
-    """``(vma index, PTE_LOCAL count)`` of every VMA with local pages."""
-    if not count_equal(state, PTE_LOCAL):
-        return []
-    local = np.asarray(state) == PTE_LOCAL
-    per_vma = np.add.reduceat(local, layout.cum[:-1]).tolist()
-    return [(k, n) for k, n in enumerate(per_vma) if n]
 
 
 @dataclass
@@ -405,28 +395,24 @@ class AddressSpace(PageTable):
 
         Copies metadata only: the space shares the source's table
         copy-on-write and its :class:`Layout` (``source._share``), then
-        charges any locally-resident pages the source carries, VMA by VMA
-        as a per-VMA clone would.  With the sanitizer installed every VMA
-        is also reported bound.
+        charges any locally-resident pages the source carries in one
+        ``_charge``.  With ``on_pte_bound`` subscribed every VMA is also
+        reported bound.
         """
         if self.total_pages:
             raise ValueError(f"attach needs an empty address space: "
                              f"{self.name} has {self.total_pages} pages")
-        layout, arrays, local_runs = source._share()
+        layout, arrays, n_local = source._share()
         self._layout = layout
         self._vmas = None
         self.state, self.offsets, self.content = (
             CowPageArray(a) if isinstance(a, TemplateBase) else a.copy()
             for a in arrays)
-        on_pte_bound = hooks.on_pte_bound
-        if on_pte_bound is None:
-            for _, n_local in local_runs:
-                self._charge(n_local)
-            return
-        local = dict(local_runs)
-        for k, vma in enumerate(self.vmas):
-            self._charge(local.get(k, 0))
-            on_pte_bound(vma)
+        if n_local:
+            self._charge(n_local)
+        if hooks.on_pte_bound is not None:
+            for vma in self.vmas:
+                hooks.on_pte_bound(vma)
 
     # -- population ---------------------------------------------------------------
 
@@ -492,10 +478,14 @@ class AddressSpace(PageTable):
         Writes fault first, then reads (which see the writes' effects).
         Each list is one pass over the flat table (:meth:`_runs`,
         :func:`_run_counts`): one state gather, one ``bincount`` for the
-        per-VMA histograms and one scatter of the faulting pages.  Python
-        code runs only per faulting VMA, to charge the accountant (and
-        report CoW faults) in address order.  A write to a read-only VMA
-        or an out-of-range index raises before any state changes.
+        per-VMA histograms and one scatter of the faulting pages.  The
+        access then charges every page it allocated in one ``_charge``:
+        all of its deltas are positive and land at one instant, so the
+        accountant ends as a charge per faulting VMA would leave it.
+        Python code runs per faulting VMA only to count fetches per pool
+        and to report CoW faults to a subscribed ``on_pte_cow``.  A write
+        to a read-only VMA or an out-of-range index raises before any
+        state changes.
         """
         out = AccessOutcome()
         writes = self._runs(write_pages)
@@ -517,6 +507,8 @@ class AddressSpace(PageTable):
                 # counting after it.
                 out.remote_loads += int(round(
                     read_loads * remote_ro / len(read_pages)))
+        if out.local_pages_allocated:
+            self._charge(out.local_pages_allocated)
         return out
 
     def _fault_writes(self, flat: np.ndarray, hit: np.ndarray,
@@ -536,15 +528,15 @@ class AddressSpace(PageTable):
             return
         # Every non-LOCAL state ends LOCAL: one scatter for the pass.
         self.state[flat[states != PTE_LOCAL]] = PTE_LOCAL
-        faulting = np.flatnonzero(counts[:, PTE_LOCAL] != sizes)
-        pool_names = self.layout.pool_names
-        for k, (n_zero, _, n_cow, n_fetch) in zip(
-                hit[faulting].tolist(), counts[faulting].tolist()):
-            if n_fetch:
-                out.fetch_pools[pool_names[k]] += n_fetch
-            self._charge(n_zero + n_cow + n_fetch)
-            if n_cow and hooks.on_pte_cow is not None:
-                hooks.on_pte_cow(self.vmas[k], n_cow)
+        if fetch:
+            self._count_fetches(hit, counts[:, PTE_REMOTE_INVALID], out)
+        if cow and hooks.on_pte_cow is not None:
+            cows = counts[:, PTE_REMOTE_RO]
+            faulting = np.flatnonzero(cows)
+            vmas = self.vmas
+            for k, n_cow in zip(hit[faulting].tolist(),
+                                cows[faulting].tolist()):
+                hooks.on_pte_cow(vmas[k], n_cow)
 
     def _fault_reads(self, flat: np.ndarray, hit: np.ndarray,
                      sizes: np.ndarray, out: AccessOutcome) -> int:
@@ -562,19 +554,23 @@ class AddressSpace(PageTable):
             out.pages_fetched += fetch
             out.local_pages_allocated += fetch
             self.state[flat[states == PTE_REMOTE_INVALID]] = PTE_LOCAL
-            faulting = np.flatnonzero(counts[:, PTE_REMOTE_INVALID])
-            pool_names = self.layout.pool_names
-            for k, n_fetch in zip(
-                    hit[faulting].tolist(),
-                    counts[faulting, PTE_REMOTE_INVALID].tolist()):
-                out.fetch_pools[pool_names[k]] += n_fetch
-                self._charge(n_fetch)
+            self._count_fetches(hit, counts[:, PTE_REMOTE_INVALID], out)
         # PTE_REMOTE_RO reads: zero software cost (valid PTE, direct load).
         # PTE_LOCAL reads: free.
         if not remote:
             return 0
         direct = self.layout.byte_addressable[hit]
         return int(counts[direct, PTE_REMOTE_RO].sum())
+
+    def _count_fetches(self, hit: np.ndarray, fetches: np.ndarray,
+                       out: AccessOutcome) -> None:
+        """Add each run's ``fetches`` to its pool in ``out.fetch_pools``,
+        in address order."""
+        faulting = np.flatnonzero(fetches)
+        pool_names = self.layout.pool_names
+        for k, n_fetch in zip(hit[faulting].tolist(),
+                              fetches[faulting].tolist()):
+            out.fetch_pools[pool_names[k]] += n_fetch
 
     # -- snapshotting helpers ---------------------------------------------------------
 

@@ -37,13 +37,6 @@ class EPTAccessOutcome:
     local_pages_allocated: int = 0
     direct_loads: int = 0        # served by pre-populated CXL mappings
 
-    def merge(self, other: "EPTAccessOutcome") -> None:
-        self.vm_exits += other.vm_exits
-        self.pages_fetched += other.pages_fetched
-        self.cow_faults += other.cow_faults
-        self.local_pages_allocated += other.local_pages_allocated
-        self.direct_loads += other.direct_loads
-
 
 class ExtendedPageTable:
     """GPA→HPA translation for one guest's memory template region."""
@@ -101,17 +94,26 @@ class ExtendedPageTable:
 
     def access(self, read_gpns: np.ndarray, write_gpns: np.ndarray
                ) -> EPTAccessOutcome:
-        """Guest touches pages; returns fault/exit counts."""
+        """Guest touches pages; returns fault/exit counts.
+
+        Writes fault first, then reads.  Both lists are range-checked
+        before any entry changes, and every page the access materialises
+        is charged in one ``_charge``.
+        """
+        reads = np.asarray(read_gpns, dtype=np.int64)
+        writes = np.asarray(write_gpns, dtype=np.int64)
+        self._bounds_check(writes)
+        self._bounds_check(reads)
         out = EPTAccessOutcome()
-        out.merge(self._writes(np.asarray(write_gpns, dtype=np.int64)))
-        out.merge(self._reads(np.asarray(read_gpns, dtype=np.int64)))
+        self._writes(writes, out)
+        self._reads(reads, out)
+        if out.local_pages_allocated:
+            self._charge(out.local_pages_allocated)
         return out
 
-    def _reads(self, gpns: np.ndarray) -> EPTAccessOutcome:
-        out = EPTAccessOutcome()
+    def _reads(self, gpns: np.ndarray, out: EPTAccessOutcome) -> None:
         if len(gpns) == 0:
-            return out
-        self._bounds_check(gpns)
+            return
         states = self.state[gpns]
         # Pre-populated or already-local: no exit at all.
         out.direct_loads += int(np.count_nonzero(states == PTE_REMOTE_RO))
@@ -122,16 +124,12 @@ class ExtendedPageTable:
             out.pages_fetched += len(invalid)
             self.state[invalid] = PTE_LOCAL
             out.local_pages_allocated += len(invalid)
-            self._charge(len(invalid))
         none = gpns[states == PTE_NONE]
         out.vm_exits += len(none)   # zero-page mapping exit, no memory
-        return out
 
-    def _writes(self, gpns: np.ndarray) -> EPTAccessOutcome:
-        out = EPTAccessOutcome()
+    def _writes(self, gpns: np.ndarray, out: EPTAccessOutcome) -> None:
         if len(gpns) == 0:
-            return out
-        self._bounds_check(gpns)
+            return
         states = self.state[gpns]
         ro = gpns[states == PTE_REMOTE_RO]
         if len(ro):
@@ -140,7 +138,6 @@ class ExtendedPageTable:
             out.cow_faults += len(ro)
             self.state[ro] = PTE_LOCAL
             out.local_pages_allocated += len(ro)
-            self._charge(len(ro))
             if hooks.on_pte_cow is not None:
                 hooks.on_pte_cow(self, len(ro))
         invalid = gpns[states == PTE_REMOTE_INVALID]
@@ -150,14 +147,11 @@ class ExtendedPageTable:
             out.cow_faults += len(invalid)
             self.state[invalid] = PTE_LOCAL
             out.local_pages_allocated += len(invalid)
-            self._charge(len(invalid))
         none = gpns[states == PTE_NONE]
         if len(none):
             out.vm_exits += len(none)
             self.state[none] = PTE_LOCAL
             out.local_pages_allocated += len(none)
-            self._charge(len(none))
-        return out
 
     # -- timing ------------------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 ``AddressSpace.attach`` shares a source's whole PTE table copy-on-write
 and its layout vectors.  The per-VMA clone it replaced (copy each VMA's
-state, offsets and content, then charge that VMA's local pages and
-report the bind, VMA by VMA) is kept below as the oracle; the two must
-agree on every VMA's metadata and PTE arrays, on ``local_pages``, and on
-the accountant and hook call sequences.  A second group pins CoW
+state, offsets and content VMA by VMA, then charge the local pages in
+one call and report each VMA bound) is kept below as the oracle; the two
+must agree on every VMA's metadata and PTE arrays, on ``local_pages``,
+and on the accountant and hook call sequences.  A second group pins CoW
 isolation: spaces attached to one template never see each other's
 writes, and the sealed template table rejects writes.
 """
@@ -34,8 +34,9 @@ def oracle_attach(source, space):
         vma.offsets[:] = np.asarray(src.offsets)
         vma.content[:] = np.asarray(src.content)
         vma.pool = src.pool
-        space._charge(count_equal(vma.state, PTE_LOCAL))
-        if hooks.on_pte_bound is not None:
+    space._charge(count_equal(space.state, PTE_LOCAL))
+    if hooks.on_pte_bound is not None:
+        for vma in space.vmas:
             hooks.on_pte_bound(vma)
 
 

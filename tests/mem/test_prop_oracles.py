@@ -7,6 +7,11 @@ simpler implementations they replaced are kept below as oracles
 loop with one ``bincount`` per VMA) and the two must agree bit for bit:
 same arrays and dtypes, same RNG draws, same fault counts, same PTE
 states, and the same accountant and hook call sequences.
+
+Both charge the accountant once per access.  The per-VMA loop used to
+charge once per faulting VMA; the oracle still reports that sequence,
+and a third property shows that an accountant fed it ends in the same
+state as one fed the single charge, save the count of cap violations.
 """
 
 from collections import Counter
@@ -73,7 +78,7 @@ def _oracle_runs(space, flat_pages):
         yield space.vmas[vma_idx], flat[lo:hi] - cum[vma_idx]
 
 
-def _oracle_reads(space, vma, idx, out):
+def _oracle_reads(vma, idx, out, per_vma):
     states = vma.state[idx]
     counts = np.bincount(states, minlength=4)
     out.minor_faults += int(counts[PTE_NONE])
@@ -84,13 +89,13 @@ def _oracle_reads(space, vma, idx, out):
         out.fetch_pools[vma.pool.name if vma.pool else "unknown"] += n_fetch
         vma.state[idx[states == PTE_REMOTE_INVALID]] = PTE_LOCAL
         out.local_pages_allocated += n_fetch
-        space._charge(n_fetch)
+        per_vma.append(n_fetch)
     if vma.pool is not None and vma.pool.byte_addressable:
         return int(counts[PTE_REMOTE_RO])
     return 0
 
 
-def _oracle_writes(space, vma, idx, out):
+def _oracle_writes(space, vma, idx, out, per_vma):
     if not vma.writable:
         raise PermissionError(
             f"write to read-only VMA {vma.name!r} in {space.name}")
@@ -109,21 +114,27 @@ def _oracle_writes(space, vma, idx, out):
     if n_alloc:
         vma.state[idx[states != PTE_LOCAL]] = PTE_LOCAL
         out.local_pages_allocated += n_alloc
-        space._charge(n_alloc)
+        per_vma.append(n_alloc)
     if n_cow and hooks.on_pte_cow is not None:
         hooks.on_pte_cow(vma, n_cow)
 
 
-def oracle_access(space, read_pages, write_pages, read_loads=0):
+def oracle_access(space, read_pages, write_pages, read_loads=0,
+                  per_vma=None):
+    """The per-VMA loop.  It charges once per access; ``per_vma``, if
+    given, receives the per-faulting-VMA charges it used to make."""
     out = AccessOutcome()
+    per_vma = [] if per_vma is None else per_vma
     for vma, idx in _oracle_runs(space, write_pages):
-        _oracle_writes(space, vma, idx, out)
+        _oracle_writes(space, vma, idx, out, per_vma)
     remote_ro = 0
     n_reads = len(read_pages)
     for vma, idx in _oracle_runs(space, read_pages):
-        remote_ro += _oracle_reads(space, vma, idx, out)
+        remote_ro += _oracle_reads(vma, idx, out, per_vma)
     if read_loads and n_reads:
         out.remote_loads += int(round(read_loads * remote_ro / n_reads))
+    if out.local_pages_allocated:
+        space._charge(out.local_pages_allocated)
     return out
 
 
@@ -339,6 +350,77 @@ def test_access_matches_per_vma_oracle(data, specs, clone, cap_pages):
         assert new_acc.cap_violations == old_acc.cap_violations
         assert new_acc.timeline == old_acc.timeline
         assert new_calls == old_calls
+
+
+#: Clock advances between steps: the same instant, within and at the
+#: accountant's 1 s timeline resolution, and arbitrary.
+ADVANCES = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+                     st.floats(0.0, 3.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.lists(vma_specs(), min_size=1, max_size=5),
+       st.booleans(), st.integers(0, 400))
+def test_one_charge_per_access_matches_per_vma_charges(data, specs, clone,
+                                                       cap_pages):
+    """An accountant fed each access's per-VMA charges and one fed its
+    single charge end alike, save ``cap_violations``: it counts
+    over-cap charges, so the single charge counts one per access whose
+    per-VMA charges counted any."""
+    now = [0.0]
+    old_acc, new_acc = (MemoryAccountant(clock=lambda: now[0],
+                                         soft_cap_bytes=cap_pages * 4096)
+                        for _ in range(2))
+    old_space, _, _ = build_space(specs, clone, cap_pages)
+    new_space, _, _ = build_space(specs, clone, cap_pages)
+    old_space.on_local_delta = None
+    new_space.on_local_delta = new_acc.page_delta_hook("anon")
+    writable = np.repeat(new_space.layout.writable,
+                         np.diff(new_space.flatten()))
+    total = new_space.total_pages
+    violations = 0
+    for _ in range(data.draw(st.integers(1, 6))):
+        now[0] += data.draw(ADVANCES)
+        before = old_acc.cap_violations
+        if data.draw(st.booleans()):
+            reads = data.draw(page_lists(total))
+            writes = data.draw(page_lists(total))
+            writes = writes[writable[writes]]
+            per_vma = []
+            oracle_access(old_space, reads, writes, per_vma=per_vma)
+            for pages in per_vma:
+                old_acc.charge_pages("anon", pages)
+            new_space.access(reads, writes)
+            violations += min(1, old_acc.cap_violations - before)
+        else:
+            # Another category's charge or release: one charge on both.
+            cached = old_acc.usage.get("cache", 0) // 4096
+            delta = data.draw(st.integers(-cached, 200))
+            old_acc.charge_pages("cache", delta)
+            new_acc.charge_pages("cache", delta)
+            violations += old_acc.cap_violations - before
+        assert new_acc.current_bytes == old_acc.current_bytes
+        assert new_acc.usage == old_acc.usage
+        assert new_acc.peak_bytes == old_acc.peak_bytes
+        assert new_acc.peak_time == old_acc.peak_time
+        assert new_acc.timeline == old_acc.timeline
+        assert new_acc.cap_violations == violations
+
+
+def test_per_vma_charges_count_a_violation_per_vma():
+    """The one count that differs: an over-cap access that faults two
+    VMAs counts two violations charged per VMA, one charged once."""
+    specs = [(10, "anon", True, 0), (10, "cxl", True, 1)]
+    space, acc, deltas = build_space(specs, clone=True, cap_pages=0)
+    per_vma = []
+    oracle_access(space, np.arange(0), np.array([1, 2, 12]),
+                  per_vma=per_vma)
+    assert per_vma == [2, 1] and deltas == [3]
+    old_acc = MemoryAccountant(soft_cap_bytes=0)
+    for pages in per_vma:
+        old_acc.charge_pages("anon", pages)
+    assert (old_acc.cap_violations, acc.cap_violations) == (2, 1)
+    assert old_acc.timeline == acc.timeline
 
 
 def test_access_oracle_sees_all_four_states():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.mem.address_space import PTE_NONE
 from repro.mem.layout import MB
 from repro.mem.pools import CXLPool, DedupStore, RDMAPool
 from repro.vm.ept import ExtendedPageTable
@@ -114,6 +115,29 @@ class TestAccounting:
         ept = make_ept(10)
         with pytest.raises(IndexError):
             ept.access(arr(10), arr())
+
+    def test_out_of_range_read_rejected_before_writes_apply(self):
+        deltas = []
+        ept = ExtendedPageTable(8, on_local_delta=deltas.append)
+        with pytest.raises(IndexError):
+            ept.access(arr(8), arr(0, 1))
+        assert (ept.state == PTE_NONE).all()
+        assert ept.local_pages == 0 and deltas == []
+
+    def test_one_charge_per_access(self):
+        # Prepopulated pages CoW, invalid ones fetch and untouched ones
+        # allocate: three kinds of fault, one charge.
+        deltas = []
+        ept = ExtendedPageTable(12, on_local_delta=deltas.append)
+        store = DedupStore(CXLPool(MB))
+        ept.bind_template(store.store_image(np.arange(12)))
+        ept.prepopulate(np.arange(12) < 4)
+        ept.state[8:] = PTE_NONE
+        out = ept.access(arr(5, 6), arr(0, 1, 4, 8, 9))
+        assert (out.cow_faults, out.local_pages_allocated) == (3, 7)
+        assert deltas == [7] and ept.local_pages == 7
+        ept.access(arr(0, 5), arr(1))
+        assert deltas == [7]
 
     def test_access_time_components(self):
         ept = make_ept(100)
