@@ -14,8 +14,7 @@ tests only gate two properties, each against a fixed bound.
   count), ``timeit`` prices one guard, and their product is divided by
   the best untraced wall of the same run.  Guard lines are every line
   in ``src/repro`` that reads a slot of the hook bus (any attribute of
-  a module in :data:`repro.analysis.shardcheck.HOOK_MODULES` but its
-  ``install``/``uninstall``), the reads SIM009 checks.
+  :mod:`repro.obs.hooks` but its ``install``/``uninstall``).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/perf -q``; add
 ``-s`` to print the figures.
@@ -33,7 +32,6 @@ import pytest
 
 import repro
 from repro.analysis.rules import _import_aliases
-from repro.analysis.shardcheck import HOOK_FUNCTIONS, HOOK_MODULES
 from repro.bench.harness import build_synthetic_template, make_platform
 from repro.core.mm_template import MMTemplateRegistry
 from repro.mem.address_space import AddressSpace
@@ -49,6 +47,9 @@ ATTACH_PAGE_COUNTS = (1024, 32768, 218880)
 ATTACH_ITERS = 30
 HOOKS_OFF_BOUND_PCT = 2.0
 SEED = 3
+#: The hook bus, and its two functions that are not slots.
+HOOK_MODULES = frozenset({"repro.obs.hooks"})
+HOOK_FUNCTIONS = frozenset({"install", "uninstall"})
 
 
 # ------------------------------------------------------------------ attach --

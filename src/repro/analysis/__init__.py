@@ -3,21 +3,15 @@
 Two cooperating layers keep the reproduction's numbers trustworthy:
 
 * :mod:`repro.analysis.simlint` — an AST-based static-analysis pass
-  (``python -m repro.cli lint``) whose rules ban the constructs that
-  silently break determinism or bypass accounting: wall-clock time and
-  unseeded RNGs outside the bench harness, iteration over unordered
-  ``set`` views in scheduling/eviction/dispatch paths, direct mutation
-  of frame/charge state behind the accounting APIs, and optimization
-  flags whose fast/slow path pair no test exercises.  ``lint --deep``
-  goes whole-program: :mod:`repro.analysis.callgraph` builds a project
-  call graph, :mod:`repro.analysis.effects` infers
-  purity/reads-shared/writes-shared effects,
-  :mod:`repro.analysis.dataflow` propagates nondeterminism taint, and
-  :mod:`repro.analysis.shardcheck` certifies shard safety with rules
-  SIM006–SIM010 (shared-state writes, non-associative merges,
-  order-sensitive float folds, unguarded hook calls, taint reaching a
-  sim sink).  :mod:`repro.analysis.sarif` renders findings as JSON or
-  SARIF 2.1.0 for CI upload.
+  (``python -m repro.cli lint``) whose per-file rules ban the constructs
+  that silently break determinism or bypass accounting: wall-clock
+  time and unseeded RNGs outside the bench harness, iteration over
+  unordered ``set`` views in scheduling/eviction/dispatch paths, direct
+  mutation of frame/charge state behind the accounting APIs, and
+  process-environment reads outside the two opt-in switches.  The rest
+  of the determinism contract (shard-safe state, order-free merges,
+  guarded hook calls) is checked by running the code: the golden
+  digests, the serial-vs-sharded trace comparison and the test suite.
 
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime invariant checker
   (the kmemleak/KASAN analog) that hooks pool allocation, PTE

@@ -1,11 +1,8 @@
 """simlint rule registry and the built-in rules.
 
 Each rule owns an id (``SIM0xx``), a one-line title, and a rationale;
-``docs/analysis.md`` documents all of them with examples.  File-scoped
-rules see one parsed module at a time; deep-scoped rules (SIM006–SIM010,
-defined in :mod:`repro.analysis.shardcheck`) see a whole-program
-:class:`~repro.analysis.shardcheck.DeepContext` — call graph, effect
-inference, taint — and run only under ``lint --deep``.
+``docs/analysis.md`` documents all of them with examples.  Every rule
+sees one parsed module at a time.
 
 The rules encode this reproduction's determinism contract:
 
@@ -16,17 +13,15 @@ The rules encode this reproduction's determinism contract:
   can leak into scheduling/eviction/dispatch decisions.
 * SIM004 — no direct mutation of frame/charge state behind the
   accounting APIs (:mod:`repro.mem.accounting`, :mod:`repro.kernel.cgroup`).
+* SIM010 — no process-environment read outside the modules that turn
+  an opt-in observer on.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Set, Type)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.shardcheck import DeepContext
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Type
 
 
 @dataclass(frozen=True)
@@ -65,12 +60,8 @@ class Rule:
     rule_id: str = ""
     title: str = ""
     rationale: str = ""
-    scope: str = "file"           # "file" | "deep"
 
     def check_file(self, module: ParsedModule) -> Iterator[Violation]:
-        return iter(())
-
-    def check_deep(self, context: "DeepContext") -> Iterator[Violation]:
         return iter(())
 
     def _violation(self, module: ParsedModule, node: ast.AST,
@@ -95,10 +86,6 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 
 
 def all_rules() -> List[Rule]:
-    # The deep (interprocedural) rules live in repro.analysis.shardcheck
-    # and register themselves on import; imported lazily here to keep
-    # rules.py free of a circular dependency on the deep machinery.
-    from repro.analysis import shardcheck  # noqa: F401
     return [REGISTRY[rule_id]() for rule_id in sorted(REGISTRY)]
 
 
@@ -520,3 +507,38 @@ class AccountingBypassRule(Rule):
                     module, node,
                     f"direct write to .{attr.attr} bypasses the accounting "
                     f"API owning it ({self.PROTECTED[attr.attr]})")
+
+
+# -- SIM010: process-environment access ----------------------------------------
+
+
+@register
+class EnvironRule(Rule):
+    rule_id = "SIM010"
+    title = "process-environment access"
+    rationale = (
+        "A knob read from os.environ makes one seed and one command give "
+        "different results in different shells, and nothing in a run's "
+        "output records it.  Pass the value in as an argument or a "
+        "config field.  The modules whose opt-in switch only installs an "
+        "observer (REPRO_OBS, REPRO_SANITIZE) are excluded by path in "
+        "[tool.simlint.per_rule.SIM010].")
+
+    BANNED = frozenset({"os.environ", "os.environb", "os.getenv",
+                        "os.getenvb"})
+
+    def check_file(self, module: ParsedModule) -> Iterator[Violation]:
+        aliases = _import_aliases(module.tree)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, (ast.Attribute, ast.Name)):
+                continue
+            parts = _dotted_parts(node)
+            if not parts:
+                continue
+            canonical = ".".join([aliases.get(parts[0], parts[0])]
+                                 + parts[1:])
+            if canonical in self.BANNED:
+                yield self._violation(
+                    module, node,
+                    f"process-environment access {canonical} — pass the "
+                    f"value in as an argument or a config field")

@@ -60,7 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.mem.address_space import PTE_REMOTE_RO
+from repro.mem.address_space import PTE_LOCAL, PTE_REMOTE_RO
 from repro.mem.cow import count_equal
 from repro.obs import hooks
 
@@ -165,6 +165,15 @@ class Sanitizer:
                 INV_FRAME_REFCOUNT, _label(owner, "space"),
                 f"local_pages={actual} but charge ledger says {shadow} "
                 f"(direct mutation bypassing _charge?)")
+        # Teardown releases the count but leaves the table as it was.
+        if owner.destroyed:
+            return
+        resident = count_equal(owner.state, PTE_LOCAL)
+        if actual != resident:
+            self._record(
+                INV_FRAME_REFCOUNT, _label(owner, "space"),
+                f"local_pages={actual} but {resident} PTEs are local "
+                f"(a page charged twice, or mapped without a charge?)")
 
     # -- hooks: PTE transitions ------------------------------------------------
 

@@ -484,8 +484,8 @@ class AddressSpace(PageTable):
         accountant ends as a charge per faulting VMA would leave it.
         Python code runs per faulting VMA only to count fetches per pool
         and to report CoW faults to a subscribed ``on_pte_cow``.  A write
-        to a read-only VMA or an out-of-range index raises before any
-        state changes.
+        to a read-only VMA, an out-of-range index or an index repeated
+        within one list raises before any state changes.
         """
         out = AccessOutcome()
         writes = self._runs(write_pages)
@@ -588,8 +588,8 @@ class AddressSpace(PageTable):
         if self.destroyed:
             return 0
         freed = self.local_pages
-        self._charge(-freed)
         self.destroyed = True
+        self._charge(-freed)
         return freed
 
     # -- flat indexing -----------------------------------------------------------------
@@ -603,14 +603,11 @@ class AddressSpace(PageTable):
         touches each of those VMAs gets (consecutive in ``flat``).
         Indices are sorted first unless they already are (traces are), so
         one ``searchsorted`` against the cumulative layout finds every
-        run.
+        run.  A repeated index raises ``ValueError``.
         """
-        flat = np.asarray(flat_pages, dtype=np.int64)
-        n = len(flat)
-        if n == 0:
+        flat = sorted_pages(np.asarray(flat_pages, dtype=np.int64))
+        if len(flat) == 0:
             return None
-        if n > 1 and (flat[1:] < flat[:-1]).any():
-            flat = np.sort(flat, kind="stable")
         cum = self.layout.cum
         if flat[0] < 0 or flat[-1] >= cum[-1]:
             raise IndexError("page index out of range for address space")
@@ -628,6 +625,20 @@ class AddressSpace(PageTable):
             self.on_local_delta(delta_pages)
         if hooks.on_local_charge is not None:
             hooks.on_local_charge(self, delta_pages)
+
+
+def sorted_pages(pages: np.ndarray) -> np.ndarray:
+    """``pages`` in ascending order; ``ValueError`` if an index repeats.
+
+    A page list names each page once: a repeat would fault, count and
+    charge one page twice.  Traces arrive sorted, so the usual cost is
+    the one comparison pass that checks both properties.
+    """
+    if len(pages) > 1 and (pages[1:] <= pages[:-1]).any():
+        pages = np.sort(pages, kind="stable")
+        if (pages[1:] == pages[:-1]).any():
+            raise ValueError("page index repeats within one page list")
+    return pages
 
 
 def _fill_missing_content(vma: VMA, content_base: int) -> None:

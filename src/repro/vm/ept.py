@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from repro.mem.address_space import (PTE_LOCAL, PTE_NONE,
-                                     PTE_REMOTE_INVALID, PTE_REMOTE_RO)
+                                     PTE_REMOTE_INVALID, PTE_REMOTE_RO,
+                                     sorted_pages)
 from repro.mem.pools import MemoryPool, PoolBlock
 from repro.obs import hooks
 from repro.sim.latency import LatencyModel
@@ -51,6 +52,7 @@ class ExtendedPageTable:
         self.local_pages = 0
         self.on_local_delta = on_local_delta
         self.prepopulated_pages = 0
+        self.destroyed = False
 
     # -- template binding -----------------------------------------------------------
 
@@ -96,14 +98,16 @@ class ExtendedPageTable:
                ) -> EPTAccessOutcome:
         """Guest touches pages; returns fault/exit counts.
 
-        Writes fault first, then reads.  Both lists are range-checked
-        before any entry changes, and every page the access materialises
-        is charged in one ``_charge``.
+        Writes fault first, then reads.  Both lists are checked for
+        range and for repeated pages before any entry changes, and every
+        page the access materialises is charged in one ``_charge``.
         """
         reads = np.asarray(read_gpns, dtype=np.int64)
         writes = np.asarray(write_gpns, dtype=np.int64)
         self._bounds_check(writes)
         self._bounds_check(reads)
+        sorted_pages(writes)
+        sorted_pages(reads)
         out = EPTAccessOutcome()
         self._writes(writes, out)
         self._reads(reads, out)
@@ -184,9 +188,11 @@ class ExtendedPageTable:
 
         Returns the page count released so the caller can uncharge its
         own accounting; the EPT's counter goes through ``_charge`` so
-        ``on_local_delta`` observers see the release too.
+        ``on_local_delta`` observers see the release too.  The table is
+        marked ``destroyed``; its entries stay as they were.
         """
         pages = self.local_pages
+        self.destroyed = True
         if pages:
             self._charge(-pages)
         return pages

@@ -24,7 +24,8 @@ from repro.workloads.synthetic import ArrivalEvent, Workload
 #: (seed, function names, duration, rate, skew, zipf) -> sorted events.
 #: Synthesis is seeded-deterministic, so the memo only saves host time
 #: (repeated sweep shards re-request identical parameter tuples).
-_EVENTS_CACHE: "OrderedDict[tuple, List[ArrivalEvent]]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
+#: Deterministic memo: the value is a pure function of the key.
+_EVENTS_CACHE: "OrderedDict[tuple, List[ArrivalEvent]]" = OrderedDict()
 
 
 def make_azure_workload(seed: int = 0,

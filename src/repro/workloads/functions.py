@@ -39,7 +39,8 @@ _FUNC_SPACE = 1 << 44
 #: Bounded LRU via :func:`repro.workloads.cache.memoized`.
 #: Per-invocation jittered traces are not memoised: their keys never
 #: repeat within a run, and a miss costs one RNG fork plus a few masks.
-_BASE_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
+#: Deterministic memo: the value is a pure function of the key.
+_BASE_TRACE_CACHE: "OrderedDict[tuple, AccessTrace]" = OrderedDict()
 
 #: Bound of :data:`_BASE_TRACE_CACHE`.  Every node of a rack draws from its
 #: own RNG path, so a rack needs one entry per (node, function): 160 for

@@ -20,7 +20,8 @@ from repro.workloads.functions import FUNCTIONS, FunctionProfile
 from repro.workloads.synthetic import ArrivalEvent, Workload
 
 #: (seed, function names, duration, rate, spike prob/shape) -> events.
-_EVENTS_CACHE: "OrderedDict[tuple, List[ArrivalEvent]]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
+#: Deterministic memo: the value is a pure function of the key.
+_EVENTS_CACHE: "OrderedDict[tuple, List[ArrivalEvent]]" = OrderedDict()
 
 
 def make_huawei_workload(seed: int = 0,

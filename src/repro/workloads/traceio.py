@@ -32,7 +32,8 @@ CountMatrix = Dict[int, Dict[str, int]]
 #: (resolved path, mtime_ns, size) -> parsed count matrix.  The file
 #: signature invalidates the entry when the trace is rewritten; callers
 #: get a per-minute copy so mutating a result cannot poison the cache.
-_COUNTS_CACHE: "OrderedDict[tuple, CountMatrix]" = OrderedDict()  # simlint: shard-safe (deterministic memo: value is a pure function of the key)
+#: Deterministic memo: the value is a pure function of the key.
+_COUNTS_CACHE: "OrderedDict[tuple, CountMatrix]" = OrderedDict()
 
 
 def load_counts_csv(path) -> CountMatrix:

@@ -41,6 +41,28 @@ def test_frame_refcount_leak_detected():
     assert "local_pages" in str(excinfo.value)
 
 
+def test_frame_refcount_compares_the_count_with_local_ptes():
+    # Charged twice through the API: the ledger agrees with the counter,
+    # only the page table shows that one page is counted twice.
+    space = AddressSpace("victim")
+    with pytest.raises(SanitizerError) as excinfo:
+        with sanitized():
+            vma = space.add_vma("heap", 4)
+            space.populate_local(vma)
+            space._charge(1)
+    assert invariants(excinfo) == {INV_FRAME_REFCOUNT}
+    assert "5 but 4 PTEs are local" in str(excinfo.value)
+
+
+def test_destroyed_space_keeps_its_table_without_a_violation():
+    with sanitized() as san:
+        space = AddressSpace("torn-down")
+        space.populate_local(space.add_vma("heap", 4))
+        space.destroy()
+        assert space.local_pages == 0
+        assert san.scan() == []
+
+
 def test_frame_double_free_detected():
     space = AddressSpace("victim")
     with pytest.raises(SanitizerError) as excinfo:

@@ -211,6 +211,22 @@ class TestFlatIndexing:
         with pytest.raises(IndexError):
             space.access(arr(), arr(-1))
 
+    def test_repeated_index_rejected_before_any_change(self):
+        # Once allocated two pages and charged two for one PTE_LOCAL.
+        deltas = []
+        space = AddressSpace("rep", on_local_delta=deltas.append)
+        space.add_vma("heap", 4)
+        with pytest.raises(ValueError, match="repeats"):
+            space.access(arr(), arr(0, 0))
+        # Unsorted, and in the read list after a valid write list.
+        with pytest.raises(ValueError, match="repeats"):
+            space.access(arr(3, 1, 3), arr(2))
+        assert (space.vmas[0].state == PTE_NONE).all()
+        assert space.local_pages == 0 and deltas == []
+        # The same page in the write and the read list is one page each.
+        out = space.access(arr(0), arr(0))
+        assert out.local_pages_allocated == 1 and deltas == [1]
+
     def test_flatten_invalidated_by_growth(self):
         space = make_space(10)
         space.access(arr(9), arr())

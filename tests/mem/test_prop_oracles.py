@@ -352,6 +352,49 @@ def test_access_matches_per_vma_oracle(data, specs, clone, cap_pages):
         assert new_calls == old_calls
 
 
+def lists_with_repeats(total):
+    # Any order, and a page may be named more than once.
+    return st.lists(st.integers(0, total - 1),
+                    max_size=min(2 * total, 300)).map(
+        lambda xs: np.array(xs, dtype=np.int64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.lists(vma_specs(), min_size=1, max_size=5),
+       st.booleans())
+def test_repeated_pages_rejected_and_unique_pages_match_oracle(data, specs,
+                                                               clone):
+    """A list naming a page twice raises before any state changes; the
+    same lists with each page once then match the per-VMA oracle, and
+    the charged count stays the count of ``PTE_LOCAL`` entries."""
+    old_space, _, old_deltas = build_space(specs, clone, 0)
+    new_space, _, new_deltas = build_space(specs, clone, 0)
+    writable = np.repeat(new_space.layout.writable,
+                         np.diff(new_space.flatten()))
+    total = new_space.total_pages
+    for _ in range(data.draw(st.integers(1, 3))):
+        reads = data.draw(lists_with_repeats(total))
+        writes = data.draw(lists_with_repeats(total))
+        writes = writes[writable[writes]]
+        unique_reads, unique_writes = np.unique(reads), np.unique(writes)
+        if len(unique_reads) < len(reads) or len(unique_writes) < len(writes):
+            before = states_of(new_space)
+            n_deltas = len(new_deltas)
+            with pytest.raises(ValueError, match="repeats"):
+                new_space.access(reads, writes)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(before, states_of(new_space)))
+            assert len(new_deltas) == n_deltas
+        old = oracle_access(old_space, unique_reads, unique_writes)
+        new = new_space.access(unique_reads, unique_writes)
+        assert new == old
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(states_of(old_space), states_of(new_space)))
+        assert new_deltas == old_deltas
+        assert new_space.local_pages == sum(
+            count_equal(v.state, PTE_LOCAL) for v in new_space.vmas)
+
+
 #: Clock advances between steps: the same instant, within and at the
 #: accountant's 1 s timeline resolution, and arbitrary.
 ADVANCES = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 1.0]),

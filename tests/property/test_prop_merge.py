@@ -1,5 +1,4 @@
-"""Property tests: shard-merge associativity/commutativity (SIM007's
-runtime counterpart).
+"""Property tests: shard-merge associativity/commutativity.
 
 The sweep runner assumes per-shard metrics can be merged in *any*
 order and grouping without changing the result.  These tests draw

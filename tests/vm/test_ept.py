@@ -124,6 +124,17 @@ class TestAccounting:
         assert (ept.state == PTE_NONE).all()
         assert ept.local_pages == 0 and deltas == []
 
+    def test_repeated_page_rejected_before_any_change(self):
+        # Once two VM exits and two local pages for one PTE_LOCAL.
+        deltas = []
+        ept = ExtendedPageTable(4, on_local_delta=deltas.append)
+        with pytest.raises(ValueError, match="repeats"):
+            ept.access(arr(), arr(1, 1))
+        with pytest.raises(ValueError, match="repeats"):
+            ept.access(arr(3, 0, 3), arr(2))
+        assert (ept.state == PTE_NONE).all()
+        assert ept.local_pages == 0 and deltas == []
+
     def test_one_charge_per_access(self):
         # Prepopulated pages CoW, invalid ones fetch and untouched ones
         # allocate: three kinds of fault, one charge.

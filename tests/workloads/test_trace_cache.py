@@ -1,11 +1,11 @@
-"""Regression tests for the base-trace memo (found by `lint --deep`).
+"""Regression tests for the base-trace memo.
 
 The original ``_BASE_TRACE_CACHE`` was a plain unbounded dict that grew
 without limit across long parameter sweeps.  It now routes through
-:func:`repro.workloads.cache.memoized`: bounded LRU, and certified
-shard-safe (the value is a pure function of the key).  Its
-bound covers a whole rack, so a round-robin run over every (node,
-function) pair builds each base trace once.
+:func:`repro.workloads.cache.memoized`: a bounded LRU whose value is a
+pure function of its key, so a memo that outlives one run cannot change
+the next.  Its bound covers a whole rack, so a round-robin run over
+every (node, function) pair builds each base trace once.
 """
 
 from collections import Counter
