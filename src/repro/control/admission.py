@@ -182,9 +182,9 @@ class AdmissionController:
     def cancel(self, entry: PendingEntry) -> None:
         """A waiter was interrupted: forget it (or give back its slot).
 
-        Mirrors ``ServerlessPlatform._admit``: if the entry is still
-        queued it simply leaves; if the slot arrived in the same tick as
-        the interrupt, the slot is released onward.
+        If the entry is still queued it simply leaves; if the slot
+        arrived in the same tick as the interrupt, the slot is released
+        onward.
         """
         queue = self._queues.get(entry.function)
         if queue is not None and entry in queue:

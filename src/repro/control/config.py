@@ -2,9 +2,11 @@
 
 Everything here is plain frozen-dataclass data, validated eagerly, and
 **off by default**: a :class:`Cluster <repro.serverless.cluster.Cluster>`
-built without a :class:`ControlConfig` takes exactly the pre-existing
-dispatch path, instruction for instruction, so golden results are
-unchanged.  Passing a config arms the full plane
+built without a :class:`ControlConfig` runs its one dispatch generator
+with every control step skipped, so golden results are unchanged (and
+an armed plane with every knob open gives the same run:
+``TestArmedButPermissive`` pins the equality).  Passing a config arms
+the full plane
 (:class:`repro.control.plane.ControlPlane`): admission control and load
 shedding, circuit breakers, the cluster-wide retry budget, the timeout
 hierarchy and SLO burn-rate accounting.

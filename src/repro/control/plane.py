@@ -14,30 +14,32 @@ them:
   which feeds both admission (burn shedding) and the platforms
   (degrade mode).
 
-The cluster dispatcher calls :meth:`filter_candidates` (non-claiming
-preview), :meth:`claim_attempt` (for the picked node only) and
-:meth:`observe_attempt` around every dispatch attempt and
-:meth:`observe_result` on completion; platforms consult
-:meth:`pool_breaker` and :meth:`degrade_active` inside their fault
-ladders.  :meth:`invocation_deadline` / :meth:`attempt_deadline`
-resolve the timeout hierarchy onto the virtual clock.
+The cluster dispatcher waits in :meth:`admit` before its first
+attempt, calls :meth:`claim_pick` (a non-claiming breaker preview,
+then a claim for the picked node only) and :meth:`observe_attempt`
+around every dispatch attempt and :meth:`observe_result` on
+completion; platforms consult :meth:`pool_breaker` and
+:meth:`degrade_active` inside their fault ladders.
+:meth:`invocation_deadline` / :meth:`attempt_deadline` resolve the
+timeout hierarchy onto the virtual clock.
 
-Everything here is host-side bookkeeping on simulated inputs: no Delay,
-no RNG, no wall clock — control decisions are pure functions of the
-virtual-time history, so controlled runs replay bit-identically.
+Everything here is host-side bookkeeping on simulated inputs (the one
+wait is :meth:`admit`'s admission gate): no Delay, no RNG, no wall
+clock — control decisions are pure functions of the virtual-time
+history, so controlled runs replay bit-identically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.control.admission import AdmissionController
+from repro.control.admission import GO, AdmissionController
 from repro.control.breaker import CircuitBreaker
 from repro.control.config import ControlConfig
 from repro.control.retry_budget import RetryBudget
 from repro.control.slo import SLOTracker
 from repro.obs import hooks
-from repro.sim.engine import Simulator
+from repro.sim.engine import Interrupt, Simulator
 
 #: Why an armed control plane pins a run to the serial path
 #: (:mod:`repro.serverless.partition` quotes this in fallback reports).
@@ -70,6 +72,41 @@ class ControlPlane:
         self.abort_counts: Dict[str, int] = {}
         self.abort_log: List[Tuple[str, float, str]] = []
         self.completions = 0
+
+    # -- admission ------------------------------------------------------------
+
+    def admit(self, function: str, arrival: float,
+              deadline: Optional[float], ctx=None) -> Generator:
+        """Timed: wait at the front door for an admission slot.
+
+        Returns None once admitted (the retry budget has earned its
+        deposit and the caller holds the slot until it calls
+        ``admission.release``), else the shed reason.  An interrupt
+        while queued cancels the entry, so no slot is lost.
+        """
+        now = self.sim.now
+        status, entry = self.admission.request(function, arrival, now,
+                                               deadline, ctx=ctx)
+        if status == "shed":
+            return entry
+        if status == "wait":
+            try:
+                signal = yield entry.gate
+            except Interrupt:
+                self.admission.cancel(entry)
+                raise
+            if signal != GO:
+                return signal.split(":", 1)[1]
+            tracer = hooks.tracer
+            if tracer is not None:
+                # The matching slot_grant link (with the granting
+                # invocation as src) is emitted at release time; this
+                # one records the wait itself, so the gap is
+                # attributable even if the grantor was untraced.
+                tracer.link("admission_wait", now, self.sim.now, dst=ctx,
+                            args={"function": function})
+        self.budget.earn()
+        return None
 
     # -- breakers -------------------------------------------------------------
 
@@ -121,6 +158,29 @@ class ControlPlane:
         """
         breaker = self.node_breaker(node)
         return True if breaker is None else breaker.allow(now)
+
+    def claim_pick(self, policy, candidates: Sequence, function: str,
+                   now: float) -> Tuple[Optional[object], Optional[str]]:
+        """Pick a dispatch target and claim its breaker grant.
+
+        The preview (:meth:`filter_candidates`) drops the nodes whose
+        breaker refuses traffic; ``policy`` then picks among the rest,
+        and only the picked node's grant is claimed
+        (:meth:`claim_attempt`).  A lost claim (state moved since the
+        preview) removes that node and the policy picks again.  Returns
+        ``(platform, None)``, or ``(None, reason)`` with reason
+        ``"breaker-open"`` (the preview refused every node) or
+        ``"claim-race"`` (every claim was lost).
+        """
+        allowed = self.filter_candidates(candidates, now)
+        if not allowed:
+            return None, "breaker-open"
+        while allowed:
+            pick = policy.pick(allowed, function)
+            if self.claim_attempt(pick.node.name, now):
+                return pick, None
+            allowed.remove(pick)
+        return None, "claim-race"
 
     def observe_attempt(self, node: str, now: float, ok: bool,
                         latency: float) -> None:

@@ -192,7 +192,7 @@ def validate_chrome_trace(data: Dict) -> List[str]:
 #: Phase spans reported in the cold-start decomposition, in lifecycle
 #: order (everything else recorded under a trace_id still aggregates,
 #: appended in name order after these).
-PHASE_ORDER = ("queue", "dispatch", "warm_hit", "acquire", "criu_restore",
+PHASE_ORDER = ("dispatch", "warm_hit", "acquire", "criu_restore",
                "proc_state_restore", "mmt_attach", "fault_replay", "exec",
                "teardown")
 

@@ -202,10 +202,6 @@ class ServerlessPlatform:
         self._pools_by_name: Dict[str, MemoryPool] = {}
         self._inflight_fetches = 0
         self._inv_counter = itertools.count()
-        # Per-function admission control: None = unlimited.
-        self._concurrency_limits: Dict[str, int] = {}
-        self._running_per_function: Dict[str, int] = {}
-        self._admission_queues: Dict[str, List] = {}
         # -- failure handling (repro.faults) --
         self.retry_policy = RetryPolicy()
         #: Substream for retry-backoff jitter; untouched while the
@@ -213,7 +209,7 @@ class ServerlessPlatform:
         self.retry_rng = SeededRNG(seed, f"{self.name}/retry")
         #: Optional repro.control.ControlPlane — set by the cluster when
         #: a ControlConfig is armed; None means no control plane (the
-        #: default, byte-identical to the pre-control platform).
+        #: default: the pool ladder below takes no control step).
         self.control = None
         #: Next rung of the degradation ladder after the primary pool
         #: (typically a NASPool); the final rung is a local batched copy.
@@ -246,16 +242,6 @@ class ServerlessPlatform:
         """Register ``pool`` as the degradation target for pool faults."""
         self.register_pool(pool)
         self.fallback_pool = pool
-
-    def set_concurrency_limit(self, function: str, limit: Optional[int]
-                              ) -> None:
-        """Cap in-flight invocations per function (FIFO admission)."""
-        if limit is not None and limit <= 0:
-            raise ValueError("concurrency limit must be positive")
-        if limit is None:
-            self._concurrency_limits.pop(function, None)
-        else:
-            self._concurrency_limits[function] = limit
 
     # -- the invocation lifecycle -----------------------------------------------------
 
@@ -293,23 +279,20 @@ class ServerlessPlatform:
             ctx = None   # stale context from a since-removed observer
         inst: Optional[Instance] = None
         try:
-            yield from self._admit(function, ctx)
-            queue_wait = self.node.now - t0
-            t_acquire = self.node.now
             inst = self.warm.take(function)
             if inst is not None:
                 kind = "warm"
                 inst.obs_ctx = ctx
                 yield from self._warm_resume(inst)
                 if tracer is not None:
-                    tracer.span(ctx, "warm_hit", t_acquire, self.node.now)
+                    tracer.span(ctx, "warm_hit", t0, self.node.now)
             else:
                 inst, kind = yield from self._acquire(profile, ctx)
                 inst.obs_ctx = ctx
                 if tracer is not None:
-                    tracer.span(ctx, "acquire", t_acquire, self.node.now,
+                    tracer.span(ctx, "acquire", t0, self.node.now,
                                 args=tracer.shared_args(kind=kind))
-            startup = self.node.now - t_acquire
+            startup = self.node.now - t0
             t1 = self.node.now
             retries, degraded = yield from self.execute(inst, profile, inv_idx)
             exec_lat = self.node.now - t1
@@ -319,7 +302,6 @@ class ServerlessPlatform:
             yield from self._recycle(inst)
             if tracer is not None:
                 tracer.span(ctx, "teardown", t_teardown, self.node.now)
-            self._release(function, ctx)
             self._apply_memory_pressure()
         except Interrupt as intr:
             # The node died under us: drop whatever was half-built and
@@ -351,18 +333,15 @@ class ServerlessPlatform:
                                   start_kind=kind, startup=startup,
                                   exec=exec_lat,
                                   e2e=self.node.now - t0,
-                                  queue=queue_wait,
                                   retries=retries, degraded=degraded)
         self.recorder.record(result)
         if hooks.on_invocation is not None:
             hooks.on_invocation(self.name, result)
         if tracer is not None:
-            if queue_wait > 0:
-                tracer.span(ctx, "queue", t0, t0 + queue_wait)
             tracer.span(ctx, function, t0, self.node.now,
                         cat="invocation",
-                        args={"kind": kind, "queue": queue_wait,
-                              "retries": retries, "degraded": degraded})
+                        args={"kind": kind, "retries": retries,
+                              "degraded": degraded})
             if own_ctx:
                 tracer.finish(ctx, self.node.now)
         return result
@@ -373,57 +352,6 @@ class ServerlessPlatform:
             return
         inst.retired = True
         inst.space.destroy()
-
-    def _admit(self, function: str, ctx=None):
-        """Timed: wait for an admission slot if the function is capped.
-        The slot is handed directly to the next waiter on release, so
-        admission is strictly FIFO and never over-subscribes.
-
-        ``ctx`` rides along on the queue entry so the eventual grantor
-        can emit a causal ``slot_grant`` link (who the queue wait was
-        actually waiting on) — a host-side annotation only.
-        """
-        limit = self._concurrency_limits.get(function)
-        if limit is None:
-            return
-            yield  # pragma: no cover
-        running = self._running_per_function.get(function, 0)
-        if running >= limit:
-            gate = self.node.sim.event()
-            entry = (gate, ctx, self.node.now)
-            self._admission_queues.setdefault(function, []).append(entry)
-            try:
-                yield gate   # slot transferred on wake
-            except Interrupt:
-                queue = self._admission_queues.get(function)
-                if queue and entry in queue:
-                    queue.remove(entry)      # never got the slot
-                else:
-                    self._release(function)  # slot arrived mid-interrupt
-                raise
-        else:
-            self._running_per_function[function] = running + 1
-        return
-
-    def _release(self, function: str, ctx=None) -> None:
-        if function not in self._concurrency_limits:
-            return
-        queue = self._admission_queues.get(function)
-        if queue:
-            gate, waiter_ctx, t_enq = queue.pop(0)
-            tracer = hooks.tracer
-            if tracer is not None and waiter_ctx is not None:
-                tracer.link("slot_grant", t_enq, self.node.now,
-                            src=(ctx if ctx is not None else 0),
-                            dst=waiter_ctx,
-                            args={"function": function,
-                                  "node": self.node.name})
-            gate.trigger()
-        else:
-            # .get guards the post-crash case where counters were reset
-            # while this invocation still held a slot.
-            running = self._running_per_function.get(function, 0)
-            self._running_per_function[function] = max(0, running - 1)
 
     # -- hooks ---------------------------------------------------------------------------
 
@@ -490,7 +418,8 @@ class ServerlessPlatform:
                     raise KeyError(
                         f"{self.name}: fetched from unregistered pool "
                         f"{pool_name!r}")
-                t, r, d = yield from self._fetch_with_recovery(pool, pages)
+                t, r, d = yield from self._pool_cost_with_recovery(pool,
+                                                                   pages)
                 overhead += t
                 retries += r
                 degraded = degraded or d
@@ -499,18 +428,17 @@ class ServerlessPlatform:
                         pool_seconds.get(pool_name, 0.0) + t)
             # CXL (or other byte-addressable) resident loads: per-load
             # latency delta, paid inline during execution.
-            if outcome.remote_loads:
-                t, r, d = yield from self._loads_with_recovery(
-                    inst, outcome.remote_loads)
+            load_pool = (self._byte_addressable_pool(inst)
+                         if outcome.remote_loads else None)
+            if load_pool is not None:
+                t, r, d = yield from self._pool_cost_with_recovery(
+                    load_pool, outcome.remote_loads, loads=True)
                 overhead += t
                 retries += r
                 degraded = degraded or d
                 if tracer is not None and t > 0:
-                    load_pool = self._byte_addressable_pool(inst)
-                    load_name = (load_pool.name if load_pool is not None
-                                 else "local")
-                    pool_seconds[load_name] = (
-                        pool_seconds.get(load_name, 0.0) + t)
+                    pool_seconds[load_pool.name] = (
+                        pool_seconds.get(load_pool.name, 0.0) + t)
             t_compute0 = node.now
             yield from node.cpu.compute(profile.exec_cpu + overhead)
         finally:
@@ -566,31 +494,36 @@ class ServerlessPlatform:
             return True
         return not self.control.budget.try_spend("pool-retry")
 
-    def _fetch_with_recovery(self, pool: MemoryPool, npages: int
-                             ) -> Generator:
-        """Timed: fetch cost with bounded retries, then degradation.
+    def _pool_cost_with_recovery(self, pool: MemoryPool, n: int,
+                                 loads: bool = False) -> Generator:
+        """Timed: the cost of ``n`` page fetches from ``pool`` (with
+        ``loads``: of ``n`` direct loads), with bounded retries, then
+        degradation.
 
         Each backoff is a real :class:`Delay`, so a transient flap can
         heal mid-invocation and the retry then succeeds at full speed.
-        Returns ``(cpu_seconds, retries, degraded)``.
+        Once the pool is given up on, every page or load becomes a fetch
+        on the fallback path.  Returns ``(cpu_seconds, retries,
+        degraded)``.
         """
         breaker = self._pool_breaker(pool)
         if breaker is not None and not breaker.allow(self.node.now):
             # Tier declared unhealthy: don't pile more work on it.
             return self._degraded_fetch_time(
-                pool, npages,
+                pool, n,
                 PoolUnavailableError(pool.name, "breaker open")), 0, True
         attempt = 0
         while True:
             try:
-                cost = pool.fetch_time(npages, self._inflight_fetches)
+                cost = (pool.read_overhead(n) if loads
+                        else pool.fetch_time(n, self._inflight_fetches))
             except PoolFault as fault:
                 self.pool_fault_count += 1
                 if breaker is not None:
                     breaker.record(self.node.now, False)
                 if attempt >= self.retry_policy.max_retries \
                         or self._should_degrade_early():
-                    return self._degraded_fetch_time(pool, npages, fault), \
+                    return self._degraded_fetch_time(pool, n, fault), \
                         attempt, True
                 yield Delay(self.retry_policy.backoff(attempt,
                                                       self.retry_rng))
@@ -603,39 +536,6 @@ class ServerlessPlatform:
     def _byte_addressable_pool(self, inst: Instance) -> Optional[MemoryPool]:
         """The pool serving this instance's direct loads, if any."""
         return inst.space.layout.direct_pool
-
-    def _loads_with_recovery(self, inst: Instance, nloads: int
-                             ) -> Generator:
-        """Timed: direct-load overhead with the same retry/degrade ladder."""
-        pool = self._byte_addressable_pool(inst)
-        if pool is None:
-            return 0.0, 0, False
-        breaker = self._pool_breaker(pool)
-        if breaker is not None and not breaker.allow(self.node.now):
-            return self._degraded_fetch_time(
-                pool, nloads,
-                PoolUnavailableError(pool.name, "breaker open")), 0, True
-        attempt = 0
-        while True:
-            try:
-                cost = pool.read_overhead(nloads)
-            except PoolFault as fault:
-                self.pool_fault_count += 1
-                if breaker is not None:
-                    breaker.record(self.node.now, False)
-                if attempt >= self.retry_policy.max_retries \
-                        or self._should_degrade_early():
-                    # Device gone: every load becomes a remote fetch on
-                    # the fallback path.
-                    return self._degraded_fetch_time(pool, nloads, fault), \
-                        attempt, True
-                yield Delay(self.retry_policy.backoff(attempt,
-                                                      self.retry_rng))
-                attempt += 1
-                continue
-            if breaker is not None:
-                breaker.record(self.node.now, True, cost)
-            return cost, attempt, False
 
     def _degraded_fetch_time(self, pool: MemoryPool, npages: int,
                              fault: PoolFault) -> float:
@@ -656,8 +556,7 @@ class ServerlessPlatform:
     # -- node crash / recovery ----------------------------------------------------
 
     def crash(self) -> None:
-        """Untimed: the node fails.  Warm state and admission state are
-        lost; in-flight invocations must be interrupted by the caller
+        """Untimed: the node fails.  Warm state is lost; in-flight invocations must be interrupted by the caller
         (the cluster dispatcher does this per tracked slot)."""
         if self.crashed:
             return
@@ -673,8 +572,6 @@ class ServerlessPlatform:
             inst.retired = True
             inst.space.destroy()
         self.warm.clear()
-        self._running_per_function.clear()
-        self._admission_queues.clear()
         self._on_crash()
 
     def recover(self) -> None:

@@ -13,9 +13,9 @@ maintained indices — a per-function warm-instance map fed by
 :class:`~repro.serverless.base.WarmPool` change notifications and a
 load-keyed lazy heap fed by
 :class:`~repro.sim.cpu.FairShareCPU` load notifications — with the
-O(nodes) scan kept for the other policies and for re-dispatch with
-excluded nodes.  Index picks are defined to equal the scan picks
-exactly.
+O(nodes) scan kept for the other policies, for re-dispatch with
+excluded nodes and for runs with the control plane armed.  Index picks
+are defined to equal the scan picks exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.control.admission import GO
 from repro.control.config import ControlConfig
 from repro.control.plane import ControlPlane
 from repro.faults.errors import (AttemptTimeoutError, DeadlineExceededError,
@@ -267,18 +266,23 @@ class Cluster:
             raise ValueError("cluster node names must be unique")
         self.sim: Simulator = platforms[0].node.sim
         self.policy = policy or WarmAffinity()
-        self._index: Optional[_DispatchIndex] = (
-            _DispatchIndex(self.platforms)
-            if type(self.policy) in (WarmAffinity, LeastLoaded)
-            else None)
         # The control plane is armed by config presence, never a flag:
-        # with control=None (the default) dispatch takes the exact
-        # pre-control path and golden results are unchanged.
+        # with control=None (the default) the one dispatch generator
+        # skips every control step, and an armed plane with every knob
+        # open gives the same simulated run (TestArmedButPermissive).
         self.control_plane: Optional[ControlPlane] = None
         if control is not None:
             self.control_plane = ControlPlane(self.sim, control)
             for platform in self.platforms:
                 platform.control = self.control_plane
+        # Built for the state-reading policies of an uncontrolled rack
+        # only: breaker filtering changes the candidate set, so index
+        # picks would not equal a controlled run's picks.
+        self._index: Optional[_DispatchIndex] = (
+            _DispatchIndex(self.platforms)
+            if control is None
+            and type(self.policy) in (WarmAffinity, LeastLoaded)
+            else None)
         self.dispatch_counts: Dict[str, int] = {}
         self.redispatches = 0
         self.node_crashes = 0
@@ -312,32 +316,29 @@ class Cluster:
             raise KeyError(f"recover_node: unknown node {name!r}")
         platform.recover()
 
-    # -- control-plane deadline watchdogs -----------------------------------
+    # -- control-plane deadline watchdog -----------------------------------
 
-    def _arm_invocation_watchdog(self, slot: Dict, deadline: float) -> None:
-        """Interrupt the invocation at ``deadline`` unless it finished.
+    def _arm_watchdog(self, slot: Dict, deadline: float,
+                      gen: Optional[int] = None) -> None:
+        """Interrupt the slot's invocation at ``deadline``.
 
-        The guard is the slot's ``alive`` flag (cleared on every exit
-        path), so a watchdog outliving its invocation is a no-op — the
-        classic stale-timer hazard of ``call_at`` callbacks.
+        With ``gen`` None the timer is the invocation's own deadline
+        (:class:`DeadlineExceededError`); otherwise it times out the
+        attempt of that generation (:class:`AttemptTimeoutError`).  The
+        guards are the slot's ``alive`` flag (cleared on every exit
+        path) and its ``gen`` counter (bumped when an attempt ends), so
+        a watchdog outliving what it guards is a no-op — the classic
+        stale-timer hazard of ``call_at`` callbacks.
         """
         def fire():
-            if slot["alive"] and slot["waiter"] is not None:
-                slot["waiter"].interrupt(
-                    DeadlineExceededError("invocation", deadline))
-        self.sim.call_at(deadline, fire)
-
-    def _arm_attempt_watchdog(self, slot: Dict, deadline: float) -> None:
-        """Per-attempt timer: guarded by the attempt generation counter,
-        bumped when the attempt ends, so only the live attempt can be
-        timed out."""
-        gen = slot["gen"]
-
-        def fire():
-            if slot["alive"] and slot["gen"] == gen \
-                    and slot["waiter"] is not None:
-                slot["waiter"].interrupt(
-                    AttemptTimeoutError("attempt", deadline))
+            waiter = slot["waiter"]
+            if not slot["alive"] or waiter is None:
+                return
+            if gen is None:
+                waiter.interrupt(DeadlineExceededError("invocation",
+                                                       deadline))
+            elif slot["gen"] == gen:
+                waiter.interrupt(AttemptTimeoutError("attempt", deadline))
         self.sim.call_at(deadline, fire)
 
     # -- rack-level accounting ----------------------------------------------
@@ -402,82 +403,15 @@ class Cluster:
             tracer0.prebind_nodes(p.node.name for p in self.platforms)
 
         def dispatch(event, slot):
-            tracer = hooks.tracer
-            ctx = None
-            if tracer is not None:
-                ctx = tracer.begin(event.function, self.sim.now)
-            try:
-                excluded: set = set()
-                for _attempt in range(self.max_dispatch_attempts):
-                    t_att = self.sim.now
-                    platform = None
-                    if self._index is not None and not excluded:
-                        platform = self._index.pick(self.policy,
-                                                    event.function)
-                    if platform is None:
-                        candidates = [p for p in self.platforms
-                                      if not p.crashed
-                                      and p.node.name not in excluded]
-                        if not candidates:
-                            # Whole rack down (or every survivor just
-                            # failed us): wait for recovery and retry
-                            # every node.
-                            excluded.clear()
-                            yield Delay(self.redispatch_wait)
-                            if tracer is not None:
-                                tracer.link("backoff", t_att, self.sim.now,
-                                            dst=ctx,
-                                            args={"reason": "all-down"})
-                            continue
-                        platform = self.policy.pick(candidates,
-                                                    event.function)
-                    key = platform.node.name
-                    self.dispatch_counts[key] = (
-                        self.dispatch_counts.get(key, 0) + 1)
-                    slot["node"] = key
-                    if hooks.on_dispatch is not None:
-                        hooks.on_dispatch(key)
-                    if tracer is not None:
-                        tracer.bind(ctx, key)
-                        tracer.span(ctx, "dispatch", t_att, self.sim.now,
-                                    args=tracer.shared_args(
-                                        node=key, attempt=_attempt))
-                    try:
-                        yield from platform.invoke(event.function,
-                                                   arrival=event.time,
-                                                   ctx=ctx)
-                        return
-                    except NodeCrashedError:
-                        excluded.add(key)
-                        self.redispatches += 1
-                        registry = hooks.registry
-                        if registry is not None:
-                            registry.inc("redispatches_total")
-                        if tracer is not None:
-                            tracer.instant("redispatch", self.sim.now,
-                                           ctx=ctx, args={"from": key})
-                            tracer.link("crash_redispatch", t_att,
-                                        self.sim.now, dst=ctx,
-                                        args={"from": key})
-                    finally:
-                        slot["node"] = None
-                self.failed.append((event.function, event.time,
-                                    "dispatch budget exhausted"))
-                if tracer is not None:
-                    tracer.instant("dispatch_failed", self.sim.now,
-                                   args={"function": event.function})
-            finally:
-                if tracer is not None:
-                    tracer.finish(ctx, self.sim.now)
+            """One invocation, arrival to completion or failure.
 
-        def dispatch_controlled(event, slot):
-            """The armed-control-plane dispatch path.
-
-            Admission (queue/shed) in front, breaker-filtered candidate
-            sets, per-attempt and per-invocation deadline watchdogs, and
-            budget-gated re-dispatch.  Never uses the dispatch index:
-            breaker filtering changes the candidate set, so index picks
-            would not equal scan picks.
+            With a control plane armed, the control steps run around the
+            plain attempt loop: admission in front, the invocation and
+            attempt deadline watchdogs, breaker-filtered picks (never
+            from the dispatch index, which is then not built: breaker
+            filtering changes the candidate set), attempt outcomes fed
+            to the breakers and budget-gated re-dispatch.  Without one,
+            every control step is skipped.
             """
             plane = self.control_plane
             sim = self.sim
@@ -486,87 +420,55 @@ class Cluster:
             if tracer is not None:
                 ctx = tracer.begin(event.function, sim.now)
             try:
-                deadline = plane.invocation_deadline(event.time)
-                status, entry = plane.admission.request(
-                    event.function, event.time, sim.now, deadline, ctx=ctx)
-                if status == "shed":
-                    self.failed.append((event.function, event.time,
-                                        f"shed:{entry}"))
-                    return
-                if status == "wait":
-                    t_wait0 = sim.now
-                    try:
-                        signal = yield entry.gate
-                    except Interrupt:
-                        plane.admission.cancel(entry)
-                        raise
-                    if signal != GO:
-                        reason = signal.split(":", 1)[1]
+                deadline = None
+                if plane is not None:
+                    deadline = plane.invocation_deadline(event.time)
+                    shed = yield from plane.admit(event.function,
+                                                  event.time, deadline, ctx)
+                    if shed is not None:
                         self.failed.append((event.function, event.time,
-                                            f"shed:{reason}"))
+                                            f"shed:{shed}"))
                         return
-                    if tracer is not None:
-                        # The matching slot_grant link (with the granting
-                        # invocation as src) is emitted at release time;
-                        # this one records the wait itself, so the gap is
-                        # attributable even if the grantor was untraced.
-                        tracer.link("admission_wait", t_wait0, sim.now,
-                                    dst=ctx,
-                                    args={"function": event.function})
-                # Admitted: the slot is ours until every exit below.
-                plane.budget.earn()
-                slot["alive"] = True
-                if deadline is not None:
-                    self._arm_invocation_watchdog(slot, deadline)
-                abort_reason = None
+                    # Admitted: the slot is ours until every exit below.
+                    slot["alive"] = True
+                    if deadline is not None:
+                        self._arm_watchdog(slot, deadline)
+                abort_reason = "dispatch-budget"
                 try:
                     excluded: set = set()
                     for _attempt in range(self.max_dispatch_attempts):
-                        now = sim.now
-                        if deadline is not None and now >= deadline:
+                        t_att = sim.now
+                        if deadline is not None and t_att >= deadline:
                             abort_reason = "deadline"
                             break
-                        candidates = [p for p in self.platforms
-                                      if not p.crashed
-                                      and p.node.name not in excluded]
-                        if not candidates:
-                            excluded.clear()
-                            yield Delay(self.redispatch_wait)
-                            if tracer is not None:
-                                tracer.link("backoff", now, sim.now,
-                                            dst=ctx,
-                                            args={"reason": "all-down"})
-                            continue
-                        allowed = plane.filter_candidates(candidates, now)
-                        if not allowed:
-                            # Every healthy node's breaker is open:
-                            # back off, then rescan the whole rack.
-                            excluded.clear()
-                            yield Delay(self.redispatch_wait)
-                            if tracer is not None:
-                                tracer.link("backoff", now, sim.now,
-                                            dst=ctx,
-                                            args={"reason": "breaker-open"})
-                            continue
-                        # The preview above claims nothing; claim the
-                        # grant (half-open probe slot) only for the
-                        # node the policy actually picks.
                         platform = None
-                        while allowed:
-                            pick = self.policy.pick(allowed,
-                                                    event.function)
-                            if plane.claim_attempt(pick.node.name, now):
-                                platform = pick
-                                break
-                            allowed.remove(pick)
+                        if self._index is not None and not excluded:
+                            platform = self._index.pick(self.policy,
+                                                        event.function)
                         if platform is None:
-                            excluded.clear()
-                            yield Delay(self.redispatch_wait)
-                            if tracer is not None:
-                                tracer.link("backoff", now, sim.now,
-                                            dst=ctx,
-                                            args={"reason": "claim-race"})
-                            continue
+                            candidates = [p for p in self.platforms
+                                          if not p.crashed
+                                          and p.node.name not in excluded]
+                            if not candidates:
+                                backoff = "all-down"
+                            elif plane is None:
+                                platform = self.policy.pick(candidates,
+                                                            event.function)
+                            else:
+                                platform, backoff = plane.claim_pick(
+                                    self.policy, candidates, event.function,
+                                    t_att)
+                            if platform is None:
+                                # Whole rack down, every breaker open or
+                                # every claim lost: wait, then rescan
+                                # every node.
+                                excluded.clear()
+                                yield Delay(self.redispatch_wait)
+                                if tracer is not None:
+                                    tracer.link("backoff", t_att, sim.now,
+                                                dst=ctx,
+                                                args={"reason": backoff})
+                                continue
                         key = platform.node.name
                         self.dispatch_counts[key] = (
                             self.dispatch_counts.get(key, 0) + 1)
@@ -575,23 +477,29 @@ class Cluster:
                             hooks.on_dispatch(key)
                         if tracer is not None:
                             tracer.bind(ctx, key)
-                            tracer.span(ctx, "dispatch", now, sim.now,
+                            tracer.span(ctx, "dispatch", t_att, sim.now,
                                         args=tracer.shared_args(
                                             node=key, attempt=_attempt))
-                        att_deadline = plane.attempt_deadline(now, deadline)
-                        if att_deadline is not None and att_deadline > now:
-                            self._arm_attempt_watchdog(slot, att_deadline)
+                        if plane is not None:
+                            att_deadline = plane.attempt_deadline(t_att,
+                                                                  deadline)
+                            if att_deadline is not None \
+                                    and att_deadline > t_att:
+                                self._arm_watchdog(slot, att_deadline,
+                                                   gen=slot["gen"])
                         try:
                             result = yield from platform.invoke(
                                 event.function, arrival=event.time, ctx=ctx)
-                            plane.observe_attempt(key, sim.now, True,
-                                                  sim.now - now)
-                            plane.observe_result(event.function, sim.now,
-                                                 result.e2e)
+                            if plane is not None:
+                                plane.observe_attempt(key, sim.now, True,
+                                                      sim.now - t_att)
+                                plane.observe_result(event.function, sim.now,
+                                                     result.e2e)
                             return
                         except NodeCrashedError:
-                            plane.observe_attempt(key, sim.now, False,
-                                                  sim.now - now)
+                            if plane is not None:
+                                plane.observe_attempt(key, sim.now, False,
+                                                      sim.now - t_att)
                             excluded.add(key)
                             self.redispatches += 1
                             registry = hooks.registry
@@ -600,15 +508,16 @@ class Cluster:
                             if tracer is not None:
                                 tracer.instant("redispatch", sim.now,
                                                ctx=ctx, args={"from": key})
-                                tracer.link("crash_redispatch", now,
+                                tracer.link("crash_redispatch", t_att,
                                             sim.now, dst=ctx,
                                             args={"from": key})
-                            if not plane.budget.try_spend("redispatch"):
+                            if plane is not None and \
+                                    not plane.budget.try_spend("redispatch"):
                                 abort_reason = "retry-budget"
                                 break
                         except AttemptTimeoutError:
                             plane.observe_attempt(key, sim.now, False,
-                                                  sim.now - now)
+                                                  sim.now - t_att)
                             excluded.add(key)
                             self.attempt_timeouts += 1
                             registry = hooks.registry
@@ -633,30 +542,32 @@ class Cluster:
                         finally:
                             slot["node"] = None
                             slot["gen"] += 1   # disarm attempt watchdog
-                    else:
-                        abort_reason = "dispatch-budget"
                 except Interrupt as intr:
                     # A deadline fired while this task sat between
                     # attempts (backoff / rescan Delay).
-                    if isinstance(intr.cause, DeadlineExceededError):
-                        abort_reason = "deadline"
-                    else:
+                    if not isinstance(intr.cause, DeadlineExceededError):
                         raise
+                    abort_reason = "deadline"
                 finally:
-                    slot["alive"] = False
-                    plane.admission.release(event.function, sim.now,
-                                            ctx=ctx)
-                # Only abort exits reach here (success returned above).
-                plane.record_abort(event.function, event.time, sim.now,
-                                   abort_reason)
-                self.failed.append((event.function, event.time,
-                                    f"abort:{abort_reason}"))
+                    if plane is not None:
+                        slot["alive"] = False
+                        plane.admission.release(event.function, sim.now,
+                                                ctx=ctx)
+                # Only failures reach here (success returned above).
+                if plane is None:
+                    self.failed.append((event.function, event.time,
+                                        "dispatch budget exhausted"))
+                    if tracer is not None:
+                        tracer.instant("dispatch_failed", sim.now,
+                                       args={"function": event.function})
+                else:
+                    plane.record_abort(event.function, event.time, sim.now,
+                                       abort_reason)
+                    self.failed.append((event.function, event.time,
+                                        f"abort:{abort_reason}"))
             finally:
                 if tracer is not None:
                     tracer.finish(ctx, sim.now)
-
-        dispatch_fn = (dispatch if self.control_plane is None
-                       else dispatch_controlled)
 
         # One queue entry per invocation, scheduled directly at its
         # arrival time; sequence numbers are assigned in event order.
@@ -668,7 +579,7 @@ class Cluster:
                 slot = {"node": None, "waiter": None,
                         "alive": False, "gen": 0}
                 slots.append(slot)
-                yield (max(now, e.time), dispatch_fn(e, slot))
+                yield (max(now, e.time), dispatch(e, slot))
 
         waiters = self.sim.spawn_at_many(schedule())
         for slot, waiter in zip(slots, waiters):
@@ -718,7 +629,7 @@ def make_trenv_cluster(n_nodes: int, pool, store=None, seed: int = 0,
     ``fallback_pool`` (e.g. a NASPool) becomes every host's degradation
     target should the shared pool go offline mid-run.  ``control`` arms
     the overload control plane (:mod:`repro.control`); None (default)
-    keeps the uncontrolled dispatch path bit-identical to before."""
+    makes the dispatch generator skip every control step."""
     from repro.core.platform import TrEnvPlatform
     from repro.mem.pools import DedupStore
 

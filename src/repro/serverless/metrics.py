@@ -279,7 +279,7 @@ class InvocationResult:
     startup: float         # sandbox/VM + memory restore latency
     exec: float            # execution-phase latency
     e2e: float             # end-to-end (queue + startup + exec)
-    queue: float = 0.0     # admission-control wait (concurrency limit)
+    queue: float = 0.0     # wait before start; every path leaves 0.0
     retries: int = 0       # pool-fault retries consumed (backoff waits)
     degraded: bool = False  # completed via a fallback/degraded path
 

@@ -1,8 +1,12 @@
 """The control plane on the cluster dispatch path, end to end."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.control.config import ControlConfig, SLOTarget, TimeoutConfig
+from repro.faults import FaultInjector, FaultPlan
 from repro.mem.layout import GB
 from repro.mem.pools import CXLPool
 from repro.serverless.cluster import make_trenv_cluster
@@ -17,9 +21,12 @@ def make_workload(seed=3, rate=30.0, duration=8.0,
                                  duration=duration, rate=rate)
 
 
-def run_cluster(control, seed=3, n_nodes=2, cores=2, **wl_kwargs):
+def run_cluster(control, seed=3, n_nodes=2, cores=2, plan=None,
+                **wl_kwargs):
     cluster = make_trenv_cluster(n_nodes, CXLPool(64 * GB), seed=seed,
                                  cores=cores, control=control)
+    if plan is not None:
+        FaultInjector.for_cluster(cluster, plan).arm()
     return cluster.run_workload(make_workload(seed=seed, **wl_kwargs))
 
 
@@ -105,6 +112,46 @@ class TestOverloadBehaviour:
         for rep in slo.values():
             assert 0.0 <= rep["attainment"] <= 1.0
             assert rep["observed"] == rep["good"] + rep["bad"]
+
+
+def _hexed(value):
+    """``value`` with every float written as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {str(k): _hexed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def controlled_crash_digest():
+    """sha256 of a controlled 2-node run that loses node1 mid-surge."""
+    plan = FaultPlan().node_crash(4.0, "node1", duration=2.0)
+    result = run_cluster(overload_config(), rate=30.0, plan=plan)
+    view = {
+        "records": [[r.function, r.arrival, r.start_kind, r.startup,
+                     r.exec, r.e2e, r.queue, r.retries, r.degraded]
+                    for r in result.recorder.results],
+        "failed": result.failed,
+        "dispatch_counts": result.dispatch_counts,
+        "redispatches": result.redispatches,
+        "control": result.control,
+    }
+    blob = json.dumps(_hexed(view), sort_keys=True, separators=(",", ":"))
+    return len(result.recorder.results), hashlib.sha256(
+        blob.encode()).hexdigest()
+
+
+#: (completions, digest) of :func:`controlled_crash_digest`: sheds,
+#: deadline aborts, attempt timeouts, crash re-dispatch and an opened
+#: node breaker all feed it.
+GOLDEN_CONTROLLED_CRASH = (
+    46, "c68a0769c8a1d09db3a9700947de20a7cbee5f65797b4dc891adc2025e5da91e")
+
+
+def test_controlled_crash_run_matches_golden_digest():
+    assert controlled_crash_digest() == GOLDEN_CONTROLLED_CRASH
 
 
 class TestConfigMistakes:

@@ -99,14 +99,19 @@ def test_vcpu_quota_conservation_and_bound(works, vcpus):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 10))
 def test_admission_limit_respected(limit, burst):
+    """The rack's admission gate never over-subscribes a function, and
+    with room in its queue every arrival of a burst completes.  CR, not
+    a function whose cold starts stagger themselves: uncontrolled, a
+    burst of CR runs all at once, so every excess arrival must queue."""
+    from repro.control.config import ControlConfig
     from repro.node import Node
     from repro.serverless.baselines import FaasdPlatform
-    from repro.workloads.functions import function_by_name
+    from repro.serverless.cluster import Cluster
+    from repro.workloads.synthetic import ArrivalEvent, Workload
 
-    node = Node(cores=64, seed=33)
-    platform = FaasdPlatform(node)
-    platform.register_function(function_by_name("DH"))
-    platform.set_concurrency_limit("DH", limit)
+    platform = FaasdPlatform(Node(cores=64, seed=33))
+    cluster = Cluster([platform], control=ControlConfig(
+        concurrency_limits={"CR": limit}, queue_capacity=burst))
     inflight = [0]
     peak = [0]
     orig = platform.execute
@@ -119,12 +124,10 @@ def test_admission_limit_respected(limit, burst):
         return result
 
     platform.execute = tracked
-
-    def one():
-        yield from platform.invoke("DH")
-
-    for _ in range(burst):
-        node.sim.spawn(one())
-    node.sim.run()
+    workload = Workload(name="burst", duration=1.0,
+                        events=[ArrivalEvent(0.0, "CR")] * burst)
+    result = cluster.run_workload(workload)
     assert peak[0] <= limit
-    assert platform.recorder.count() == burst
+    assert result.control["admission"]["queued"] == max(0, burst - limit)
+    assert result.failed == []
+    assert result.recorder.count() == burst
